@@ -48,6 +48,12 @@ cargo check -q --offline --benches -p warper-bench
 echo "== cargo test -q"
 cargo test -q --offline --workspace
 
+# The block-sketch kernel is shifts, `leading_zeros` and `as` casts, where
+# debug and release differ on overflow: run the storage suite (kernel == fold
+# differential proptest included) optimized too.
+echo "== cargo test -q --release -p warper-storage"
+cargo test -q --offline --release -p warper-storage
+
 # Chaos/property suites: fault injection and snapshot corruption.
 echo "== cargo test -q --features faults"
 cargo test -q --offline --workspace --features faults
@@ -81,9 +87,10 @@ RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
 # portable kernels too (the SIMD path is covered by the workspace run).
 RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
     cargo test -q --offline -p warper-serve --test fleet_proptests
-# Sketch merge laws, refresh-equals-rebuild, and HLL error bounds must hold
-# on the portable build too — the sketches hash every table value, so a
-# codegen difference here would silently skew drift detection fleet-wide.
+# Sketch merge laws, refresh-equals-rebuild, kernel-equals-fold, zone-map
+# mutator domains and HLL error bounds must hold on the portable build too —
+# the sketches hash every table value, so a codegen difference here would
+# silently skew drift detection fleet-wide.
 RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
     cargo test -q --offline -p warper-storage --test sketch_proptests
 
@@ -132,10 +139,11 @@ cargo bench -q --offline -p warper-bench --bench serve
 echo "== cargo bench --bench fleet (publishes BENCH_fleet.json)"
 cargo bench -q --offline -p warper-bench --bench fleet
 
-# Sketch telemetry benchmark: asserts sketch-backed drift detection is
-# >= 10x faster than the exact canary rescan (and that both paths agree the
-# injected drift is real), and that the incremental block refresh beats a
-# cold rebuild. Publishes BENCH_sketch.json.
+# Sketch telemetry benchmark: asserts the one-pass block kernel is >= 3x the
+# per-value fold it equals (all-distinct column, same process), that
+# sketch-backed drift detection is >= 10x faster than the exact canary rescan
+# (and that both paths agree the injected drift is real), and that the
+# incremental block refresh beats a cold rebuild. Publishes BENCH_sketch.json.
 echo "== cargo bench --bench sketch (publishes BENCH_sketch.json)"
 cargo bench -q --offline -p warper-bench --bench sketch
 

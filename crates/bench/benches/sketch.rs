@@ -1,12 +1,19 @@
 //! Sketch-backed drift telemetry benchmark.
 //!
-//! Measures the three costs the `storage::sketch` subsystem was built
-//! around, and asserts the headline claim:
+//! Measures the costs the `storage::sketch` subsystem was built around, and
+//! asserts the headline claims:
 //!
+//! 0. **Block kernel (a gate).** `ColumnSketch::from_values` versus the
+//!    `insert_value` / `insert` fold it is state-identical to, in ns per
+//!    value on one all-distinct and one <= 16-distinct column, measured in
+//!    the same run. The kernel must be **>= 3x** the fold on the all-distinct
+//!    column — a ratio inside one process, not an absolute time.
 //! 1. **Maintenance.** After a drift op dirties a handful of blocks, the
 //!    incremental `sketch_index()` refresh re-sketches only those blocks; a
 //!    cold rebuild re-hashes the whole table. The refresh must beat the
-//!    rebuild.
+//!    rebuild. Scattered in-place updates dirty every block, so that refresh
+//!    costs a rebuild — reported as `scattered_refresh_ms` so the kernel's
+//!    speed is what keeps it affordable.
 //! 2. **Merge.** Block → table and shard → fleet rollups are monoid merges
 //!    of fixed-size summaries; reported per-merge so the "a thousand shards
 //!    summarize into one sketch" claim has a number attached.
@@ -23,10 +30,11 @@
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use warper_core::detect::{CanarySet, SketchProbe};
 use warper_core::WarperConfig;
-use warper_storage::{drift, generate, DatasetKind, TableSketch};
+use warper_storage::sketch::{DistinctSketch, HeavyHitters, DEFAULT_HH_CAP, DEFAULT_PRECISION};
+use warper_storage::{drift, generate, ColumnSketch, DatasetKind, TableSketch, BLOCK_ROWS};
 
 const ROWS: usize = 50_000;
 const SEED: u64 = 23;
@@ -34,6 +42,8 @@ const COLD_BUILDS: usize = 3;
 const REFRESH_OPS: usize = 20;
 const FLEET_SHARDS: usize = 128;
 const DETECT_ITERS: usize = 50;
+const KERNEL_BLOCKS: usize = 48;
+const KERNEL_PASSES: usize = 5;
 
 fn secs_per(iters: usize, f: impl FnMut()) -> f64 {
     let mut f = f;
@@ -44,8 +54,57 @@ fn secs_per(iters: usize, f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
+/// The per-value reference `ColumnSketch::from_values` replaced as the block
+/// constructor (and still equals, state for state).
+fn fold_block(values: &[f64]) -> ColumnSketch {
+    let mut distinct = DistinctSketch::new(DEFAULT_PRECISION);
+    let mut heavy = HeavyHitters::new(DEFAULT_HH_CAP);
+    for &v in values {
+        distinct.insert_value(v);
+        heavy.insert(v);
+    }
+    ColumnSketch { distinct, heavy }
+}
+
+/// `(kernel, fold)` ns per value over `column`, block by block; best of
+/// `KERNEL_PASSES` alternating passes each.
+fn kernel_vs_fold_ns(column: &[f64]) -> (f64, f64) {
+    // Odd-sized blocks, so the last SpaceSaving round is a partial one.
+    for block in column.chunks(BLOCK_ROWS - 7).take(4) {
+        assert_eq!(
+            ColumnSketch::from_values(block),
+            fold_block(block),
+            "kernel and fold disagree"
+        );
+    }
+    let pass = |f: fn(&[f64]) -> ColumnSketch| {
+        let t0 = Instant::now();
+        for block in column.chunks(BLOCK_ROWS) {
+            std::hint::black_box(f(std::hint::black_box(block)));
+        }
+        t0.elapsed().as_secs_f64() * 1e9 / column.len() as f64
+    };
+    let (mut kernel, mut fold) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..KERNEL_PASSES {
+        kernel = kernel.min(pass(ColumnSketch::from_values));
+        fold = fold.min(pass(fold_block));
+    }
+    (kernel, fold)
+}
+
 fn main() {
     let cfg = WarperConfig::default();
+
+    // -- 0. Block kernel vs the per-value fold ------------------------------
+    let n = KERNEL_BLOCKS * BLOCK_ROWS;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let distinct_col: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0e3..1.0e3)).collect();
+    let dict_col: Vec<f64> = (0..n)
+        .map(|_| f64::from(rng.random_range(0u32..12)))
+        .collect();
+    let (kernel_distinct_ns, fold_distinct_ns) = kernel_vs_fold_ns(&distinct_col);
+    let (kernel_dict_ns, fold_dict_ns) = kernel_vs_fold_ns(&dict_col);
+    let kernel_speedup = fold_distinct_ns / kernel_distinct_ns;
 
     // -- 1. Maintenance: cold build vs incremental refresh -----------------
     let cold_s = {
@@ -80,6 +139,20 @@ fn main() {
         (t0.elapsed() - mutate).as_secs_f64() / REFRESH_OPS as f64
     };
     let refresh_speedup = cold_s / refresh_s;
+
+    // One row in a thousand updated in place lands in every block: the
+    // refresh re-sketches the whole table (HLL and SpaceSaving cannot
+    // unlearn a row), so it costs what the kernel costs per value.
+    let scattered_s = {
+        let mut scattered = std::time::Duration::ZERO;
+        for _ in 0..COLD_BUILDS {
+            drift::update_rows(&mut table, 0.001, 0.3, &mut rng);
+            let t0 = Instant::now();
+            std::hint::black_box(table.table_sketch());
+            scattered += t0.elapsed();
+        }
+        scattered.as_secs_f64() / COLD_BUILDS as f64
+    };
 
     // -- 2. Merge: fleet rollup of per-shard summaries ---------------------
     let shard_sketch = table.table_sketch().as_ref().clone();
@@ -143,9 +216,15 @@ fn main() {
 
     println!("sketch telemetry @ {ROWS} Prsa rows ({n_blocks} blocks):");
     println!(
-        "  maintenance: cold build {:.2} ms, incremental refresh {:.1} us/op  -> {refresh_speedup:.0}x",
+        "  kernel: all-distinct {kernel_distinct_ns:.1} ns/value vs fold {fold_distinct_ns:.1}  -> {kernel_speedup:.1}x; \
+         <=16-distinct {kernel_dict_ns:.1} vs {fold_dict_ns:.1}"
+    );
+    println!(
+        "  maintenance: cold build {:.2} ms, incremental refresh {:.1} us/op  -> {refresh_speedup:.0}x, \
+         scattered refresh {:.2} ms",
         cold_s * 1e3,
         refresh_s * 1e6,
+        scattered_s * 1e3,
     );
     println!(
         "  merge: {:.2} us per shard rollup ({FLEET_SHARDS}-shard fleet fold)",
@@ -158,6 +237,11 @@ fn main() {
         rescan_s * 1e6,
     );
 
+    assert!(
+        kernel_speedup >= 3.0,
+        "block kernel {kernel_distinct_ns:.1} ns/value only {kernel_speedup:.1}x the \
+         {fold_distinct_ns:.1} ns/value fold on an all-distinct column — below the 3x bar"
+    );
     assert!(
         refresh_speedup > 1.0,
         "incremental refresh ({:.1} us) slower than cold rebuild ({:.1} us)",
@@ -179,6 +263,12 @@ fn main() {
         "cold_build_ms": cold_s * 1e3,
         "incremental_refresh_us": refresh_s * 1e6,
         "refresh_speedup": refresh_speedup,
+        "scattered_refresh_ms": scattered_s * 1e3,
+        "kernel_ns_per_value_all_distinct": kernel_distinct_ns,
+        "fold_ns_per_value_all_distinct": fold_distinct_ns,
+        "kernel_speedup_all_distinct": kernel_speedup,
+        "kernel_ns_per_value_12_distinct": kernel_dict_ns,
+        "fold_ns_per_value_12_distinct": fold_dict_ns,
         "merge_per_shard_us": merge_s * 1e6,
         "fleet_shards": FLEET_SHARDS,
         "detect_quiet_us": quiet_s * 1e6,

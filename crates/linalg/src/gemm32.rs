@@ -145,11 +145,39 @@ impl MatrixF32 {
 // Packed weights
 // ---------------------------------------------------------------------------
 
+/// One `k` step of an `f32` panel: a tile's [`NR`] weights, on a cache line
+/// of their own. The kernels load one such row per step as a single vector;
+/// in a `Vec<f32>` (16-byte aligned by the allocator) every one of those
+/// loads straddles two lines unless the buffer happens to land on a multiple
+/// of 64, and which residue it lands on is an accident of what the process
+/// allocated before — worth 15–20 % of batch-256 throughput on a 6.4 MB
+/// panel (EXPERIMENTS.md, "Ingest at memory speed"). The alignment lives in
+/// the type so no allocation history can take it away.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(64))]
+struct PanelRow {
+    w: [f32; NR],
+}
+
+impl Serialize for PanelRow {
+    fn serialize(&self, out: &mut String) {
+        self.w.serialize(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for PanelRow {
+    fn deserialize(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::json::Error> {
+        Ok(Self {
+            w: Deserialize::deserialize(p)?,
+        })
+    }
+}
+
 /// How a packed layer stores its weights.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum PanelStore {
-    /// `f32` panels.
-    F32(Vec<f32>),
+    /// `f32` panels, one [`PanelRow`] per `(tile, k)`.
+    F32(Vec<PanelRow>),
     /// Int8 panels plus one dequantization scale per (padded) output column.
     I8 { data: Vec<i8>, scales: Vec<f32> },
 }
@@ -181,11 +209,11 @@ impl PackedWeights {
     /// panels.
     pub fn pack_f32(w: &Matrix) -> Self {
         let (n, k) = (w.rows(), w.cols());
-        let mut data = vec![0.0f32; padded(n) * k];
+        let mut data = vec![PanelRow { w: [0.0; NR] }; padded(n) / NR * k];
         for j in 0..n {
             let (tile, lane) = (j / NR, j % NR);
             for kk in 0..k {
-                data[(tile * k + kk) * NR + lane] = w.get(j, kk) as f32;
+                data[tile * k + kk].w[lane] = w.get(j, kk) as f32;
             }
         }
         Self {
@@ -414,6 +442,9 @@ pub fn linear_forward_into(
     for tile in 0..tiles {
         let j0 = tile * NR;
         let jw = NR.min(n - j0); // real columns in this tile
+
+        // The tile's rows of an f32 panel, and its bytes of an int8 one.
+        let rows = tile * k..(tile + 1) * k;
         let (p0, p1) = (tile * k * NR, (tile + 1) * k * NR);
         for r0 in (0..m).step_by(row_step) {
             let rh = row_step.min(m - r0);
@@ -421,7 +452,7 @@ pub fn linear_forward_into(
             let mut acc = [[0.0f32; NR]; MR_WIDE];
             match (&w.store, kernel) {
                 (PanelStore::F32(panel), Kernel::Portable) => {
-                    tile_f32_portable(x, r0, rh, &panel[p0..p1], k, &mut acc);
+                    tile_f32_portable(x, r0, rh, &panel[rows.clone()], k, &mut acc);
                 }
                 (PanelStore::I8 { data, .. }, Kernel::Portable) => {
                     tile_i8_portable(x, r0, rh, &data[p0..p1], k, &mut acc);
@@ -429,8 +460,8 @@ pub fn linear_forward_into(
                 #[cfg(target_arch = "x86_64")]
                 (PanelStore::F32(panel), Kernel::Avx512) => {
                     // SAFETY: `resolve` established avx512f support; the
-                    // panel slice holds exactly k×NR floats.
-                    unsafe { avx512::tile_f32(x, r0, rh, &panel[p0..p1], k, &mut acc) }
+                    // panel slice holds exactly k rows of NR floats.
+                    unsafe { avx512::tile_f32(x, r0, rh, &panel[rows.clone()], k, &mut acc) }
                 }
                 #[cfg(target_arch = "x86_64")]
                 (PanelStore::I8 { data, .. }, Kernel::Avx512) => {
@@ -440,7 +471,7 @@ pub fn linear_forward_into(
                 #[cfg(target_arch = "x86_64")]
                 (PanelStore::F32(panel), Kernel::Avx2) => {
                     // SAFETY: `resolve` established avx2+fma support.
-                    unsafe { avx2::tile_f32(x, r0, rh, &panel[p0..p1], k, &mut acc) }
+                    unsafe { avx2::tile_f32(x, r0, rh, &panel[rows.clone()], k, &mut acc) }
                 }
                 #[cfg(target_arch = "x86_64")]
                 (PanelStore::I8 { data, .. }, Kernel::Avx2) => {
@@ -514,13 +545,13 @@ fn tile_f32_portable(
     x: &MatrixF32,
     r0: usize,
     rh: usize,
-    panel: &[f32],
+    panel: &[PanelRow],
     k: usize,
     acc: &mut [[f32; NR]; MR_WIDE],
 ) {
     debug_assert!(rh <= MR);
     for kk in 0..k {
-        let p: &[f32; NR] = panel[kk * NR..(kk + 1) * NR].try_into().expect("panel row");
+        let p = &panel[kk].w;
         for (r, row_acc) in acc.iter_mut().enumerate().take(rh) {
             let b = x.data[(r0 + r) * k + kk];
             for j in 0..NR {
@@ -562,7 +593,7 @@ fn tile_i8_portable(
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{MatrixF32, MR_WIDE, NR};
+    use super::{MatrixF32, PanelRow, MR_WIDE, NR};
     use std::arch::x86_64::*;
 
     /// `rh×NR` tile over an `f32` panel: per `k` step, one 16-lane `zmm`
@@ -574,24 +605,26 @@ mod avx512 {
     ///
     /// # Safety
     /// Caller must ensure the CPU supports avx512f and that `panel` holds
-    /// exactly `k × NR` values.
+    /// exactly `k` rows.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn tile_f32(
         x: &MatrixF32,
         r0: usize,
         rh: usize,
-        panel: &[f32],
+        panel: &[PanelRow],
         k: usize,
         acc: &mut [[f32; NR]; MR_WIDE],
     ) {
-        debug_assert_eq!(panel.len(), k * NR);
+        debug_assert_eq!(panel.len(), k);
         let xd = x.data();
         let xk = x.cols();
         let xp: [*const f32; MR_WIDE] = std::array::from_fn(|r| {
             let rr = if r < rh { r } else { 0 };
             xd.as_ptr().add((r0 + rr) * xk)
         });
-        let mut p = panel.as_ptr();
+        // `PanelRow` is `repr(C)` around `[f32; NR]`: the rows are `k × NR`
+        // contiguous floats.
+        let mut p = panel.as_ptr().cast::<f32>();
         let mut a: [__m512; MR_WIDE] = [_mm512_setzero_ps(); MR_WIDE];
         for kk in 0..k {
             let w = _mm512_loadu_ps(p);
@@ -651,7 +684,7 @@ mod avx512 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{MatrixF32, MR, MR_WIDE, NR};
+    use super::{MatrixF32, PanelRow, MR, MR_WIDE, NR};
     use std::arch::x86_64::*;
 
     /// `rh×NR` tile over an `f32` panel: per `k` step, one 16-lane panel
@@ -661,17 +694,17 @@ mod avx2 {
     ///
     /// # Safety
     /// Caller must ensure the CPU supports avx2+fma and that `panel` holds
-    /// exactly `k × NR` values.
+    /// exactly `k` rows.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn tile_f32(
         x: &MatrixF32,
         r0: usize,
         rh: usize,
-        panel: &[f32],
+        panel: &[PanelRow],
         k: usize,
         acc: &mut [[f32; NR]; MR_WIDE],
     ) {
-        debug_assert_eq!(panel.len(), k * NR);
+        debug_assert_eq!(panel.len(), k);
         debug_assert!(rh <= MR);
         let xd = x.data();
         let xk = x.cols();
@@ -680,7 +713,9 @@ mod avx2 {
             let rr = if r < rh { r } else { 0 };
             xd.as_ptr().add((r0 + rr) * xk)
         });
-        let mut p = panel.as_ptr();
+        // `PanelRow` is `repr(C)` around `[f32; NR]`: the rows are `k × NR`
+        // contiguous floats.
+        let mut p = panel.as_ptr().cast::<f32>();
         let mut a: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
         for kk in 0..k {
             let w0 = _mm256_loadu_ps(p);
@@ -781,6 +816,22 @@ mod tests {
             v.push(Backend::Simd);
         }
         v
+    }
+
+    #[test]
+    fn f32_panel_rows_sit_on_cache_lines() {
+        assert_eq!(std::mem::size_of::<PanelRow>(), NR * 4);
+        // Odd-sized live allocations in between walk the allocator through
+        // every 16-byte residue a `Vec<f32>` could have landed on.
+        let mut held = Vec::new();
+        for i in 0..8 {
+            held.push(vec![0u8; 24 + 16 * i]);
+            let (_, w, _) = toy(1, 5 + i, 17, 3);
+            let PanelStore::F32(rows) = PackedWeights::pack_f32(&w).store else {
+                panic!("pack_f32 packs f32 panels");
+            };
+            assert_eq!(rows.as_ptr() as usize % 64, 0);
+        }
     }
 
     #[test]

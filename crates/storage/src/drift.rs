@@ -10,6 +10,11 @@
 //! §4.1.2's data-drift experiment ("we sort the dataset by one column and
 //! truncate the table in half") is [`sort_and_truncate_half`].
 //!
+//! The mutators that need column domains read them off the zone maps
+//! (`Table::zone_index`, which re-scans only the blocks the previous mutator
+//! dirtied) rather than scanning every value with `Table::domains`; the two
+//! agree under `==`, proptested after arbitrary mutator sequences.
+//!
 //! Every mutator records block-granular invalidation marks through the
 //! `Table::index_mark_*` hooks, which fan out to **both** lazily-maintained
 //! indexes: the zone maps ([`crate::zonemap`]) and the mergeable per-block
@@ -54,7 +59,7 @@ pub fn append_rows(table: &mut Table, extra: usize, noise_frac: f64, rng: &mut S
     if n == 0 || extra == 0 {
         return;
     }
-    let domains = table.domains();
+    let domains = table.zone_index().domains();
     let picks: Vec<usize> = (0..extra).map(|_| rng.random_range(0..n)).collect();
     for (c, col) in table.columns_mut().iter_mut().enumerate() {
         let (lo, hi) = domains[c];
@@ -87,7 +92,7 @@ pub fn update_rows(table: &mut Table, frac: f64, shift_frac: f64, rng: &mut StdR
     if k == 0 {
         return;
     }
-    let domains = table.domains();
+    let domains = table.zone_index().domains();
     let rows: Vec<usize> = (0..k).map(|_| rng.random_range(0..n)).collect();
     for (c, col) in table.columns_mut().iter_mut().enumerate() {
         let (lo, hi) = domains[c];

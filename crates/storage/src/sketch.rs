@@ -32,7 +32,9 @@
 //! `drift` mutators through the same `DirtySet` machinery, and refreshed by
 //! recomputing exactly the dirty blocks (per-block sketches cannot unlearn a
 //! deleted row, so a dirty block is resketched from its values — the same
-//! contract the zone maps use, proptested as refresh == rebuild).
+//! contract the zone maps use, proptested as refresh == rebuild). A block is
+//! sketched by [`ColumnSketch::from_values`], a one-pass kernel that ends in
+//! the same state as folding the block through the per-value `insert` API.
 //!
 //! Serialization is compact: dense registers encode as a hex string (two
 //! chars per register), sparse codes and heavy-hitter counters as integer
@@ -67,13 +69,12 @@ pub const HH_TOP_K: usize = 8;
 /// canonical NaN so equal-comparing values hash identically).
 #[inline]
 pub fn hash_value(v: f64) -> u64 {
-    let bits = if v == 0.0 {
-        0 // fold -0.0 onto +0.0
-    } else if v.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        v.to_bits()
-    };
+    mix_bits(key_bits(v))
+}
+
+/// splitmix64 finalizer over canonical key bits.
+#[inline]
+fn mix_bits(bits: u64) -> u64 {
     let mut z = bits.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -89,8 +90,9 @@ fn inv_pow2(r: u8) -> f64 {
     f64::from_bits((1023 - u64::from(r)) << 52)
 }
 
-/// Canonical key bits used by [`HeavyHitters`] (same folding as
-/// [`hash_value`], without the mixing — keys must round-trip to values).
+/// Canonical key bits: `-0.0` folds onto `0.0` and every NaN onto one
+/// canonical NaN. [`HeavyHitters`] keys on these (keys must round-trip to
+/// values) and [`hash_value`] mixes them.
 #[inline]
 fn key_bits(v: f64) -> u64 {
     if v == 0.0 {
@@ -100,6 +102,21 @@ fn key_bits(v: f64) -> u64 {
     } else {
         v.to_bits()
     }
+}
+
+/// Register index and rho (1-based rank of the first set bit after the index
+/// bits; an all-zero remainder ranks `64 - p + 1`) of one hash at precision
+/// `p`.
+#[inline]
+fn register_of(h: u64, p: u8) -> (u32, u8) {
+    let idx = (h >> (64 - p)) as u32;
+    let rest = h << p;
+    let rho = if rest == 0 {
+        64 - u32::from(p) + 1
+    } else {
+        rest.leading_zeros() + 1
+    };
+    (idx, rho as u8)
 }
 
 /// An HLL++-style distinct-count sketch with sparse and dense
@@ -154,15 +171,7 @@ impl DistinctSketch {
 
     /// Records one hashed element.
     pub fn insert_hash(&mut self, h: u64) {
-        let idx = (h >> (64 - self.p)) as u32;
-        // Rank of the first set bit in the remaining stream, 1-based; an
-        // all-zero remainder ranks 64 - p + 1.
-        let rest = h << self.p;
-        let rho = if rest == 0 {
-            64 - u32::from(self.p) + 1
-        } else {
-            rest.leading_zeros() + 1
-        } as u8;
+        let (idx, rho) = register_of(h, self.p);
         self.bump(idx, rho);
     }
 
@@ -289,6 +298,16 @@ impl DistinctSketch {
         let max_rho = 64 - self.p + 1;
         match &self.repr {
             Repr::Sparse(codes) => {
+                // A quarter-full sketch is always dense (`maybe_promote`); a
+                // longer sparse list denotes the same set but compares
+                // unequal to the sketch rebuilt from it.
+                if codes.len() * 4 >= self.registers() {
+                    return Err(format!(
+                        "sparse list of {} codes should be dense at p={}",
+                        codes.len(),
+                        self.p
+                    ));
+                }
                 let m = self.registers() as u32;
                 let mut prev = None;
                 for &c in codes {
@@ -463,13 +482,28 @@ impl HeavyHitters {
         self.dropped
     }
 
+    /// The `k` heaviest `(key bits, count)` entries in rank order (count
+    /// descending, key bits ascending — total, since keys are distinct).
+    /// Merged summaries hold cap × blocks entries, so the cut is a selection,
+    /// not a full sort.
+    fn top_keys(&self, k: usize) -> Vec<(u64, u64)> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let rank = |a: &(u64, u64), b: &(u64, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        let mut entries: Vec<(u64, u64)> = self.counters.iter().map(|(&k, &c)| (k, c)).collect();
+        if entries.len() > k {
+            entries.select_nth_unstable_by(k - 1, rank);
+            entries.truncate(k);
+        }
+        entries.sort_unstable_by(rank);
+        entries
+    }
+
     /// The top `k` values by count, deterministically ordered
     /// (count descending, value bits ascending).
     pub fn top(&self, k: usize) -> Vec<(f64, u64)> {
-        let mut entries: Vec<(u64, u64)> = self.counters.iter().map(|(&k, &c)| (k, c)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        entries.truncate(k);
-        entries
+        self.top_keys(k)
             .into_iter()
             .map(|(bits, c)| (f64::from_bits(bits), c))
             .collect()
@@ -479,18 +513,15 @@ impl HeavyHitters {
     /// the two top-k key sets. 0 when the heavy hitters are unchanged, 1
     /// when they are disjoint.
     pub fn churn_vs(&self, baseline: &Self, k: usize) -> f64 {
-        let keys = |hh: &Self| -> Vec<u64> {
-            let mut e: Vec<(u64, u64)> = hh.counters.iter().map(|(&k, &c)| (k, c)).collect();
-            e.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            e.truncate(k);
-            e.into_iter().map(|(bits, _)| bits).collect()
-        };
-        let a = keys(baseline);
-        let b = keys(self);
+        let a = baseline.top_keys(k);
+        let b = self.top_keys(k);
         if a.is_empty() && b.is_empty() {
             return 0.0;
         }
-        let inter = b.iter().filter(|k| a.contains(k)).count();
+        let inter = b
+            .iter()
+            .filter(|(key, _)| a.iter().any(|(other, _)| other == key))
+            .count();
         let union = a.len() + b.len() - inter;
         1.0 - inter as f64 / union.max(1) as f64
     }
@@ -534,7 +565,12 @@ impl<'de> Deserialize<'de> for HeavyHitters {
                 "cap" => cap = u32::deserialize(p)?,
                 "dropped" => dropped = u64::deserialize(p)?,
                 "k" => {
+                    // The encoder writes the map in key order; anything else
+                    // (a duplicate would silently lose a count) is not ours.
                     let pairs: Vec<(u64, u64)> = Vec::deserialize(p)?;
+                    if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
+                        return Err(p.error("heavy-hitter keys not strictly ascending"));
+                    }
                     counters = pairs.into_iter().collect();
                 }
                 _ => p.skip_value()?,
@@ -545,6 +581,85 @@ impl<'de> Deserialize<'de> for HeavyHitters {
             counters,
             dropped,
         })
+    }
+}
+
+// `SlotSummary::count_tracked` keeps one flag per slot in a `u32`.
+const _: () = assert!(DEFAULT_HH_CAP <= 32);
+
+/// SpaceSaving at capacity [`DEFAULT_HH_CAP`] in flat slots: the block
+/// kernel's scratch form of [`HeavyHitters`], same transitions as
+/// [`HeavyHitters::insert`].
+struct SlotSummary {
+    /// Tracked keys; a free slot holds a sentinel of its own — the NaN
+    /// patterns `u64::MAX - slot`, which [`key_bits`] never returns (it folds
+    /// every NaN onto `f64::NAN`) — so all 16 keys are always distinct.
+    keys: [u64; DEFAULT_HH_CAP],
+    /// Counts; 0 marks a free slot.
+    counts: [u64; DEFAULT_HH_CAP],
+    dropped: u64,
+}
+
+impl SlotSummary {
+    fn new() -> Self {
+        Self {
+            keys: std::array::from_fn(|slot| u64::MAX - slot as u64),
+            counts: [0; DEFAULT_HH_CAP],
+            dropped: 0,
+        }
+    }
+
+    /// Counts `key` if a slot tracks it; `false` when none does.
+    #[inline]
+    fn count_tracked(&mut self, key: u64) -> bool {
+        // Branch-free equality flags over all slots (vectorizes); the keys
+        // are distinct, so at most one flag is set.
+        let mut hits = 0u32;
+        for (i, &k) in self.keys.iter().enumerate() {
+            hits |= u32::from(k == key) << i;
+        }
+        if hits == 0 {
+            return false;
+        }
+        self.counts[hits.trailing_zeros() as usize] += 1;
+        true
+    }
+
+    /// Records `key` by one rule: the slot to bump is the key's own, else
+    /// the `(count, key)`-minimum; it takes the key and counts one more,
+    /// and what an evicted key had counted is dropped. Free slots count 0,
+    /// below every tracked count, so they fill first.
+    #[inline]
+    fn record(&mut self, key: u64) {
+        // `count << 64 | key` orders slots by `(count, key)`; the key's own
+        // slot ranks 0, below all of them (a tracked key counts at least 1
+        // and no sentinel is 0).
+        let ranks: [u128; DEFAULT_HH_CAP] = std::array::from_fn(|i| {
+            let (k, c) = (self.keys[i], self.counts[i]);
+            if k == key {
+                0
+            } else {
+                (u128::from(c) << 64) | u128::from(k)
+            }
+        });
+        let lowest = ranks.iter().fold(u128::MAX, |low, &r| low.min(r));
+        for (i, &rank) in ranks.iter().enumerate() {
+            let here = rank == lowest;
+            let evicts = here & (self.keys[i] != key);
+            self.dropped += if evicts { self.counts[i] } else { 0 };
+            self.keys[i] = if here { key } else { self.keys[i] };
+            self.counts[i] += u64::from(here);
+        }
+    }
+
+    fn into_summary(self) -> HeavyHitters {
+        HeavyHitters {
+            cap: DEFAULT_HH_CAP as u32,
+            counters: (self.keys.into_iter().zip(self.counts))
+                .filter(|&(_, count)| count != 0)
+                .collect(),
+            dropped: self.dropped,
+        }
     }
 }
 
@@ -567,14 +682,49 @@ impl ColumnSketch {
         }
     }
 
-    /// Sketches one block of values.
+    /// Sketches one block of values in a single pass over fixed scratch — a
+    /// register array and `SlotSummary` — and emits the state the
+    /// per-value fold (`distinct.insert_value` + `heavy.insert` on
+    /// [`ColumnSketch::empty`]) ends in, `==` and byte-equal when serialized
+    /// (DESIGN.md §13; proptested):
+    ///
+    /// * register occupancy only grows, so the fold has promoted to dense
+    ///   iff the final occupancy reaches `m / 4`;
+    /// * a sparse list is the per-register maximum rho in register order;
+    /// * the SpaceSaving victim is the `(count, key)`-minimum, which does
+    ///   not depend on how the counters are stored.
     pub fn from_values(values: &[f64]) -> Self {
-        let mut s = Self::empty();
+        const M: usize = 1 << DEFAULT_PRECISION;
+        let mut regs = [0u8; M];
+        let mut slots = SlotSummary::new();
         for &v in values {
-            s.distinct.insert_value(v);
-            s.heavy.insert(v);
+            let key = key_bits(v);
+            // Until a 17th distinct key evicts one, a tracked key needs only
+            // its count — it was hashed when it was admitted, and register
+            // max is idempotent — so a dictionary-like block never hashes
+            // or ranks. After that `record` finds the hits itself.
+            if slots.dropped == 0 && slots.count_tracked(key) {
+                continue;
+            }
+            let (idx, rho) = register_of(mix_bits(key), DEFAULT_PRECISION);
+            let reg = &mut regs[idx as usize];
+            *reg = (*reg).max(rho);
+            slots.record(key);
         }
-        s
+        let occupied = regs.iter().filter(|&&r| r != 0).count();
+        let repr = if occupied * 4 >= M {
+            Repr::Dense(regs.to_vec())
+        } else {
+            let codes = regs.iter().zip(0u32..).filter(|(&r, _)| r != 0);
+            Repr::Sparse(codes.map(|(&r, idx)| (idx << 8) | u32::from(r)).collect())
+        };
+        Self {
+            distinct: DistinctSketch {
+                p: DEFAULT_PRECISION,
+                repr,
+            },
+            heavy: slots.into_summary(),
+        }
     }
 
     /// Merges `other` in (component-wise).
@@ -938,6 +1088,28 @@ mod tests {
     }
 
     #[test]
+    fn top_is_the_prefix_of_the_full_ranking() {
+        // A merged summary (more entries than any k asked for) with ties.
+        let mut hh = HeavyHitters::new(8);
+        for block in 0..6 {
+            let mut part = HeavyHitters::new(8);
+            for i in 0..40 {
+                part.insert(f64::from((i * (block + 1)) % 23));
+            }
+            hh.merge(&part);
+        }
+        let mut ranked: Vec<(f64, u64)> = hh
+            .counters
+            .iter()
+            .map(|(&k, &c)| (f64::from_bits(k), c))
+            .collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.to_bits().cmp(&b.0.to_bits())));
+        for k in 0..=ranked.len() + 1 {
+            assert_eq!(hh.top(k), ranked[..k.min(ranked.len())], "k = {k}");
+        }
+    }
+
+    #[test]
     fn heavy_hitter_churn() {
         let mut base = HeavyHitters::new(8);
         let mut same = HeavyHitters::new(8);
@@ -1047,6 +1219,31 @@ mod tests {
         let mut again = String::new();
         back.serialize(&mut again);
         assert_eq!(again, json);
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_and_unsorted_counter_keys() {
+        let decode = |json: &str| HeavyHitters::deserialize(&mut Parser::new(json));
+        assert!(decode(r#"{"cap":4,"dropped":0,"k":[[1,2],[3,1]]}"#).is_ok());
+        // A duplicate would silently keep only the later count.
+        assert!(decode(r#"{"cap":4,"dropped":0,"k":[[1,2],[1,3]]}"#).is_err());
+        assert!(decode(r#"{"cap":4,"dropped":0,"k":[[3,1],[1,2]]}"#).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_sparse_list_past_the_promotion_point() {
+        // p = 4: 16 registers, dense from 4 occupied on. Three codes are a
+        // legal sparse sketch, four denote one that must be dense.
+        let decode = |json: &str| DistinctSketch::deserialize(&mut Parser::new(json)).unwrap();
+        decode(r#"{"p":4,"s":[1,257,513]}"#).validate().unwrap();
+        let long = decode(r#"{"p":4,"s":[1,257,513,769]}"#);
+        assert!(long.validate().is_err());
+        let mut rebuilt = DistinctSketch::new(4);
+        for idx in 0..4 {
+            rebuilt.bump(idx, 1);
+        }
+        assert!(!rebuilt.is_sparse());
+        rebuilt.validate().unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the mergeable sketch subsystem.
 //!
-//! Three families:
+//! Five families:
 //! * algebraic laws of `merge` — associativity and commutativity for both
 //!   sketches (and the table-level rollup), idempotence for the distinct
 //!   sketch (register max is a semilattice; heavy-hitter counts sum, so
@@ -9,14 +9,27 @@
 //!   `DirtySet`-driven `Table::sketch_index` refresh equals a from-scratch
 //!   `SketchIndex::build`;
 //! * accuracy — HLL estimates stay within relative-error bounds of the exact
-//!   distinct counts on every synthetic `DatasetKind`.
+//!   distinct counts on every synthetic `DatasetKind`;
+//! * kernel state identity — `ColumnSketch::from_values` (the one-pass block
+//!   kernel) equals the `insert_value` / `insert` fold, as values and as
+//!   serialized bytes, across the SpaceSaving cap, the sparse → dense
+//!   promotion point and the awkward `f64` encodings;
+//! * mutator domains — after any sequence of drift mutators the zone maps'
+//!   domains (what `append_rows` / `update_rows` read) equal the full-scan
+//!   `Table::domains`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use serde::Serialize;
 use warper_storage::drift::{append_rows, delete_rows, sort_and_truncate_half, update_rows};
-use warper_storage::sketch::{DistinctSketch, HeavyHitters, DEFAULT_PRECISION};
-use warper_storage::{generate, Column, ColumnType, DatasetKind, SketchIndex, Table, TableSketch};
+use warper_storage::sketch::{
+    hash_value, DistinctSketch, HeavyHitters, DEFAULT_HH_CAP, DEFAULT_PRECISION,
+};
+use warper_storage::{
+    generate, Column, ColumnSketch, ColumnType, DatasetKind, SketchIndex, Table, TableSketch,
+    BLOCK_ROWS,
+};
 
 fn sketch_of(values: &[f64]) -> DistinctSketch {
     let mut s = DistinctSketch::new(DEFAULT_PRECISION);
@@ -32,6 +45,84 @@ fn hh_of(values: &[f64], cap: usize) -> HeavyHitters {
         h.insert(v);
     }
     h
+}
+
+/// The reference the block kernel must reproduce: the public per-value API
+/// folded over an empty column sketch.
+fn fold_of(values: &[f64]) -> ColumnSketch {
+    ColumnSketch {
+        distinct: sketch_of(values),
+        heavy: hh_of(values, DEFAULT_HH_CAP),
+    }
+}
+
+fn json_of(s: &ColumnSketch) -> String {
+    let mut out = String::new();
+    s.serialize(&mut out);
+    out
+}
+
+/// Each inner list is one key under the sketches' canonicalization, spelled
+/// every way it can arrive: NaN payloads and signs, both zeros, the
+/// infinities, subnormals.
+fn awkward_keys() -> Vec<Vec<f64>> {
+    vec![
+        vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xffff_ffff_ffff_ffff),
+        ],
+        vec![0.0, -0.0],
+        vec![f64::INFINITY],
+        vec![f64::NEG_INFINITY],
+        vec![f64::from_bits(1)],
+        vec![-f64::from_bits(1)],
+        vec![f64::MIN_POSITIVE / 2.0],
+        vec![f64::MAX],
+        vec![f64::MIN],
+    ]
+}
+
+/// `n` keys: the awkward ones first, then distinct reals.
+fn key_pool(n: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    let mut pool = awkward_keys();
+    pool.truncate(n);
+    let base: f64 = rng.random_range(-1.0e6..1.0e6);
+    pool.extend((pool.len()..n).map(|i| vec![base + 0.37 * i as f64]));
+    pool
+}
+
+/// `n` keys that occupy exactly `n` distinct HLL registers, so a stream
+/// over them ends at a chosen distance from the promotion point.
+fn register_pool(n: usize) -> Vec<Vec<f64>> {
+    let mut seen = std::collections::BTreeSet::new();
+    (0u32..)
+        .map(|i| f64::from(i) + 0.5)
+        .filter(|&v| seen.insert(hash_value(v) >> (64 - DEFAULT_PRECISION)))
+        .take(n)
+        .map(|v| vec![v])
+        .collect()
+}
+
+/// A `len`-value stream over `pool`: cyclic (systematic evictions), uniform
+/// or skewed (a few heavy keys among many light ones), by `mode`.
+fn stream_over(pool: &[Vec<f64>], len: usize, mode: usize, rng: &mut StdRng) -> Vec<f64> {
+    (0..len)
+        .map(|i| {
+            let k = match mode {
+                0 => i % pool.len(),
+                1 => rng.random_range(0..pool.len()),
+                _ => {
+                    let u: f64 = rng.random_range(0.0..1.0);
+                    ((u * u * u * pool.len() as f64) as usize).min(pool.len() - 1)
+                }
+            };
+            let spellings = &pool[k];
+            spellings[rng.random_range(0..spellings.len())]
+        })
+        .collect()
 }
 
 fn table_from(values: Vec<f64>) -> Table {
@@ -170,11 +261,66 @@ proptest! {
     }
 
     #[test]
+    fn block_kernel_equals_insert_fold(
+        seed in 0u64..u64::MAX,
+        long in 0usize..=2 * BLOCK_ROWS,
+        short in 0usize..=17,
+        mode in 0usize..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Key counts straddling the SpaceSaving cap, register counts
+        // straddling sparse → dense promotion (m / 4 = 256), and a pool no
+        // stream exhausts (all-distinct when cyclic).
+        let mut pools: Vec<Vec<Vec<f64>>> = [1, 3, 15, 16, 17, 40, 200, 1000, 5000, 3 * BLOCK_ROWS]
+            .iter()
+            .map(|&n| key_pool(n, &mut rng))
+            .collect();
+        pools.extend([255, 256, 257].iter().map(|&n| register_pool(n)));
+        for pool in &pools {
+            for len in [long, short] {
+                let values = stream_over(pool, len, mode, &mut rng);
+                let kernel = ColumnSketch::from_values(&values);
+                let fold = fold_of(&values);
+                prop_assert_eq!(&kernel, &fold, "{} keys, {} values", pool.len(), len);
+                prop_assert_eq!(json_of(&kernel), json_of(&fold));
+                prop_assert!(kernel.validate().is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn zone_map_domains_equal_scanned_domains_after_mutators(
+        rows in 4usize..3 * BLOCK_ROWS,
+        seed in 0u64..500,
+        ops in prop::collection::vec(0usize..4, 1..6),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values: Vec<f64> = (0..rows)
+            .map(|i| if i % 97 == 0 { -0.0 } else { rng.random_range(-100.0..100.0) })
+            .collect();
+        let mut t = table_from(values);
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                0 => append_rows(&mut t, 20 + 700 * i, 0.1, &mut rng),
+                1 => update_rows(&mut t, 0.01, 0.2, &mut rng),
+                2 => delete_rows(&mut t, 0.3, &mut rng),
+                _ => sort_and_truncate_half(&mut t, i % 2),
+            }
+            let scanned = t.domains();
+            let zoned = t.zone_index().domains();
+            prop_assert_eq!(zoned.len(), scanned.len());
+            for (c, (z, s)) in zoned.iter().zip(&scanned).enumerate() {
+                prop_assert_eq!(z, s, "column {} after op {}", c, op);
+            }
+        }
+    }
+
+    #[test]
     fn serde_roundtrips_preserve_rollups(
         values in prop::collection::vec(-1000i64..1000, 0..500),
         changed in 0u64..1000,
     ) {
-        use serde::{Deserialize, Serialize};
+        use serde::Deserialize;
         let values: Vec<f64> = values.into_iter().map(|v| v as f64).collect();
         let ts = SketchIndex::build(&[Column::new("v", ColumnType::Real, values)])
             .rollup(changed);
