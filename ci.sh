@@ -45,6 +45,23 @@ fi
 echo "== cargo check --benches"
 cargo check -q --offline --benches -p warper-bench
 
+# The lifecycle benchmark (benchmark/, its own workspace) is built by the
+# pipeline from whatever crates/serve exports; nothing above compiles it, so
+# an API rename would first be noticed there. Check it here (reads
+# benchmark/, writes only its ignored target dir).
+echo "== cargo check benchmark/ (the serving API it is written against)"
+cargo check -q --offline --release --manifest-path benchmark/Cargo.toml
+
+# One serving core: crates/serve + the CLI were cut to one core, one adapt
+# step, one replay harness. Keep the saving from silently eroding — raise
+# this number only with a reason in the commit.
+echo "== lint: serve + CLI line budget"
+serve_lines=$(find crates/serve/src src/bin -name '*.rs' | xargs cat | wc -l)
+if [ "$serve_lines" -gt 8000 ]; then
+    echo "crates/serve/src + src/bin hold $serve_lines lines, budget is 8000" >&2
+    exit 1
+fi
+
 echo "== cargo test -q"
 cargo test -q --offline --workspace
 
@@ -94,10 +111,10 @@ RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
 RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
     cargo test -q --offline -p warper-storage --test sketch_proptests
 
-# Serving smoke: 1k queries at a fixed seed with mid-run drift and
-# background adaptation. --smoke fails the run on any served error, any
-# shed at idle load, a p99 above the generous 250 ms bound, or an
-# adaptation loop that never ran.
+# Serving smoke: 1k queries at a fixed seed against the one-shard fleet with
+# mid-run drift and background adaptation. --smoke fails the run on any
+# served error, any shed at idle load, a p99 above the generous 250 ms
+# bound, or an adaptation loop that never ran.
 echo "== serve smoke (1k queries, drift + background adaptation)"
 cargo run -q --release --offline --bin warper -- serve \
     --queries 1000 --seed 7 --drift-at 500 --smoke
@@ -126,14 +143,15 @@ if [ "$c_packed1" != "$c_unpacked" ]; then
 fi
 echo "fleet checksum $c_packed1 (stable across runs and packing modes)"
 
-# Serving benchmark: asserts the >=3x micro-batching speedup, the >=4x
-# f32-vs-f64 quantized-serving speedup, and the no-stall drift/adaptation
-# run, and publishes BENCH_serve.json.
+# Serving benchmark: asserts the >=3x micro-batching speedup on a one-shard
+# fleet, the >=4x f32-vs-f64 quantized-serving speedup per GEMM thread (the
+# f64 GEMM fans out over the host's cores, the f32 microkernels do not), and
+# the no-stall drift/adaptation run, and publishes BENCH_serve.json.
 echo "== cargo bench --bench serve (publishes BENCH_serve.json)"
 cargo bench -q --offline -p warper-bench --bench serve
 
 # Fleet benchmark: asserts the packed fleet's aggregate qps is >= 2x 128
-# independent single-tenant services under the same Zipf load, and that
+# independent one-shard fleets under the same Zipf load, and that
 # packing grows GEMM batches over the unpacked fleet. Publishes
 # BENCH_fleet.json.
 echo "== cargo bench --bench fleet (publishes BENCH_fleet.json)"

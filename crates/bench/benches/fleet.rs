@@ -7,11 +7,11 @@
 //!
 //! 1. **Packing ≥ 2× the naive deployment.** The same Zipf-skewed
 //!    closed-loop load over 128 shards, served by one packed fleet (two
-//!    shared workers) vs 128 independent single-tenant
-//!    [`EstimationService`]s (one worker each). The independent services
-//!    see mostly batch-of-1 traffic on the tail shards, so per-request
-//!    GEMM and wake overhead dominates; the fleet answers the same tail
-//!    inside shared packs. Aggregate qps must be ≥ 2×.
+//!    shared workers) vs 128 independent one-shard fleets (one worker
+//!    each). The independent fleets see mostly batch-of-1 traffic on the
+//!    tail shards, so per-request GEMM and wake overhead dominates; the
+//!    packed fleet answers the same tail inside shared packs. Aggregate qps
+//!    must be ≥ 2×.
 //! 2. **Packing beats the same fleet unpacked.** With `packing: false`
 //!    the identical dispatcher answers each shard's sub-batch with its own
 //!    `estimate_many` — the fleet machinery minus the one optimization.
@@ -28,10 +28,7 @@ use rand::{Rng, SeedableRng};
 use warper_ce::lm::{LmMlp, LmMlpParams};
 use warper_ce::CardinalityEstimator;
 use warper_metrics::LatencyHistogram;
-use warper_serve::{
-    EstimationService, Fleet, FleetConfig, FleetStats, ModelSnapshot, ServiceConfig, ShardKey,
-    ShardSpec, SnapshotCell,
-};
+use warper_serve::{Fleet, FleetConfig, FleetStats, ModelSnapshot, ShardKey, ShardSpec};
 use warper_workload::ZipfSampler;
 
 const SHARDS: usize = 128;
@@ -116,30 +113,30 @@ fn fleet_run(
     (qps, latency, stats)
 }
 
-/// The naive deployment: one independent single-tenant service per shard,
-/// each with its own worker, queue, and (tiny) batches.
+/// The naive deployment: one independent one-shard fleet per tenant, each
+/// with its own worker, queue, and (tiny) batches.
 fn independent_run(model: &LmMlp, work: &[(u32, Vec<f64>)]) -> (f64, LatencyHistogram) {
-    let services: Vec<EstimationService> = (0..SHARDS)
+    let services: Vec<Fleet> = (0..SHARDS)
         .map(|_| {
-            let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(
-                model.snapshot().expect("LmMlp snapshots"),
-            )));
-            EstimationService::start(
-                cell,
-                ServiceConfig {
+            let initial = ModelSnapshot::initial(model.snapshot().expect("LmMlp snapshots"));
+            Fleet::single(
+                Arc::new(initial),
+                None,
+                FleetConfig {
                     workers: 1,
-                    max_batch: 64,
-                    batch_linger: Duration::from_micros(200),
-                    queue_capacity: 256,
-                    ..ServiceConfig::default()
+                    per_shard_queue: 256,
+                    max_packed_batch: 64,
+                    quantum: 64,
+                    pack_linger: Duration::from_micros(200),
+                    ..FleetConfig::default()
                 },
             )
         })
         .collect();
-    let handles: Vec<_> = services.iter().map(|s| s.handle()).collect();
+    let handles: Vec<_> = services.iter().map(Fleet::handle).collect();
     let (qps, latency) = drive(work, |shard, f| {
         handles[shard as usize]
-            .estimate(f)
+            .estimate(0, f)
             .expect("closed loop never sheds");
     });
     for s in services {
@@ -202,7 +199,7 @@ fn main() {
         unpacked_stats.mean_gemm_batch(),
     );
     println!(
-        "  128 independent services: {naive_qps:.0} qps  p99 {naive_p99:.0} us  \
+        "  128 independent one-shard fleets: {naive_qps:.0} qps  p99 {naive_p99:.0} us  \
          -> fleet {speedup_vs_naive:.2}x"
     );
 
@@ -213,7 +210,7 @@ fn main() {
     assert!(
         speedup_vs_naive >= 2.0,
         "packed fleet {packed_qps:.0} qps below the 2x bar over {SHARDS} independent \
-         services at {naive_qps:.0} qps ({speedup_vs_naive:.2}x)"
+         one-shard fleets at {naive_qps:.0} qps ({speedup_vs_naive:.2}x)"
     );
     assert!(
         packed_stats.mean_gemm_batch() > unpacked_stats.mean_gemm_batch(),

@@ -30,7 +30,7 @@ use warper_serve::net::{
     run_net_loadgen, AckLevel, AckMode, EstimateClient, NetLoadSpec, PrimaryNode, PrimarySpec,
     RetryPolicy, StandbyConfig, StandbyNode, TcpDialer,
 };
-use warper_serve::ServiceConfig;
+use warper_serve::FleetConfig;
 use warper_storage::{generate, DatasetKind};
 
 const REPL_APPENDS: usize = 300;
@@ -62,7 +62,7 @@ fn main() {
             n_p: 30,
             ..Default::default()
         },
-        service: ServiceConfig {
+        service: FleetConfig {
             workers: 2,
             ..Default::default()
         },

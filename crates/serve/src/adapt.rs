@@ -1,8 +1,9 @@
-//! The background adaptation worker.
+//! The adaptation loop: one step ([`Adapter::step`]), one publication point,
+//! and the background worker that drives them.
 //!
 //! A serving deployment keeps two copies of the model: the frozen
 //! [`ModelSnapshot`] the workers answer from, and a private copy this
-//! worker retrains. Arrived queries stream into a bounded inbox
+//! loop retrains. Arrived queries stream into a bounded inbox
 //! ([`AdaptWorker::observe`] — never blocking the serving path; a full
 //! inbox drops the *observation*, never the request). Once `invoke_every`
 //! observations accumulate (or `max_wait` elapses with at least one), the
@@ -35,7 +36,7 @@ use crate::snapshot::{ModelSnapshot, SnapshotCell};
 /// Durably log labeled arrivals before an invocation consumes them.
 /// Best-effort: a failed append keeps the label usable in memory — it is
 /// simply not crash-protected (and is counted in the store's stats).
-pub(crate) fn log_labeled_arrivals(store: &Mutex<DurableStore>, arrived: &[ArrivedQuery]) {
+fn log_labeled_arrivals(store: &Mutex<DurableStore>, arrived: &[ArrivedQuery]) {
     let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
     for q in arrived {
         if let Some(gt) = q.gt {
@@ -45,11 +46,7 @@ pub(crate) fn log_labeled_arrivals(store: &Mutex<DurableStore>, arrived: &[Arriv
 }
 
 /// Durably log the labels an annotation round produced.
-pub(crate) fn log_annotations(
-    store: &Mutex<DurableStore>,
-    feats: &[Vec<f64>],
-    labels: &[Option<f64>],
-) {
+fn log_annotations(store: &Mutex<DurableStore>, feats: &[Vec<f64>], labels: &[Option<f64>]) {
     let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
     for (f, l) in feats.iter().zip(labels) {
         if let Some(gt) = l {
@@ -127,96 +124,47 @@ pub struct AdaptStats {
     pub probe: ProbeStats,
 }
 
-/// Handle to the running worker thread.
-pub struct AdaptWorker {
-    inbox: Arc<BatchQueue<ArrivedQuery>>,
-    dropped: Arc<AtomicUsize>,
-    handle: JoinHandle<AdaptStats>,
+/// Everything the adaptation side of one shard needs: what a fleet hands
+/// the [`AdaptWorker`] it spawns for the shard, and what a synchronous
+/// replay hands the [`Adapter`] it steps at its barriers.
+pub struct ShardAdapt {
+    /// Adaptation-side controller (fresh or recovered from the shard's
+    /// durable lineage).
+    pub ctl: WarperController,
+    /// Adaptation-side model copy.
+    pub model: Box<dyn CardinalityEstimator>,
+    /// The shard's table (telemetry + annotation), read under short-lived
+    /// read locks so a drift mutator holding the write lock never waits on
+    /// a whole retraining step.
+    pub table: Arc<RwLock<Table>>,
+    /// Featurization for this shard's schema.
+    pub fmap: FeatureMap,
+    /// Worker knobs. Seed it per shard (the replay harness gives shard 0
+    /// the master seed and shard `id` beyond it
+    /// `derive_seed(derive_seed(master, seed_stream::SHARD), id)`).
+    pub cfg: AdaptConfig,
+    /// The shard's own durable store (its WAL/checkpoint lineage), if any:
+    /// labels are write-ahead logged as they are paid for, and every
+    /// committed invocation counts toward its checkpoint cadence.
+    pub store: Option<Arc<Mutex<DurableStore>>>,
 }
 
-impl AdaptWorker {
-    /// Spawns the worker. `ctl` and `model` are the adaptation-side copies;
-    /// committed updates are snapshotted into `cell`. The worker reads
-    /// `table` (telemetry + annotation) under short-lived read locks, so a
-    /// drift mutator holding the write lock never waits on a whole
-    /// retraining step.
-    pub fn spawn(
-        ctl: WarperController,
-        model: Box<dyn CardinalityEstimator>,
-        cell: Arc<SnapshotCell<ModelSnapshot>>,
-        table: Arc<RwLock<Table>>,
-        fmap: FeatureMap,
-        cfg: AdaptConfig,
-    ) -> Self {
-        Self::spawn_with_store(ctl, model, cell, table, fmap, cfg, None)
-    }
-
-    /// [`AdaptWorker::spawn`] with a durable store: annotation labels are
-    /// write-ahead logged as they are paid for, and every committed
-    /// invocation counts toward the store's checkpoint cadence.
-    pub fn spawn_with_store(
-        ctl: WarperController,
-        model: Box<dyn CardinalityEstimator>,
-        cell: Arc<SnapshotCell<ModelSnapshot>>,
-        table: Arc<RwLock<Table>>,
-        fmap: FeatureMap,
-        cfg: AdaptConfig,
-        store: Option<Arc<Mutex<DurableStore>>>,
-    ) -> Self {
-        let inbox = Arc::new(BatchQueue::new(cfg.inbox_capacity.max(1)));
-        let dropped = Arc::new(AtomicUsize::new(0));
-        let worker_inbox = Arc::clone(&inbox);
-        let worker_dropped = Arc::clone(&dropped);
-        let handle = std::thread::Builder::new()
-            .name("serve-adapt".into())
-            .spawn(move || {
-                worker_main(
-                    ctl,
-                    model,
-                    cell,
-                    table,
-                    fmap,
-                    cfg,
-                    worker_inbox,
-                    worker_dropped,
-                    store,
-                )
-            })
-            .expect("spawn adaptation worker");
-        Self {
-            inbox,
-            dropped,
-            handle,
-        }
-    }
-
-    /// Feeds one arrived query to the loop. Never blocks: a full inbox
-    /// drops the observation and the serving path moves on.
-    pub fn observe(&self, q: ArrivedQuery) {
-        if self.inbox.try_push(q).is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Closes the inbox, lets the worker drain it, and returns its stats.
-    pub fn finish(self) -> AdaptStats {
-        self.inbox.close();
-        match self.handle.join() {
-            Ok(stats) => stats,
-            Err(e) => std::panic::resume_unwind(e),
-        }
-    }
+/// What the commit hook counts, shared with the [`Adapter`] that owns it.
+#[derive(Default)]
+struct Published {
+    published: AtomicUsize,
+    failures: AtomicUsize,
+    quant_refusals: AtomicUsize,
 }
 
-/// Builds the publication hook: on every commit, snapshot the model,
-/// quantize-and-gate the serving copy at the requested precision,
-/// re-validate the controller state, and swap the cell. Durability always
-/// receives the full f64 model — quantization is serving-only.
+/// Builds the publication hook — the crate's single publication point: on
+/// every commit, snapshot the model, quantize-and-gate the serving copy at
+/// the requested precision, re-validate the controller state, and swap the
+/// cell. Durability always receives the full f64 model — quantization is
+/// serving-only.
 fn publish_hook(
     cell: Arc<SnapshotCell<ModelSnapshot>>,
-    published: Arc<AtomicUsize>,
-    failures: Arc<AtomicUsize>,
-    quant_refusals: Arc<AtomicUsize>,
+    counts: Arc<Published>,
     store: Option<Arc<Mutex<DurableStore>>>,
     precision: Precision,
     quant_tolerance: f64,
@@ -236,7 +184,7 @@ fn publish_hook(
                     quant_tolerance,
                 );
                 if matches!(outcome, crate::quant::QuantOutcome::Refused(_)) {
-                    quant_refusals.fetch_add(1, Ordering::Relaxed);
+                    counts.quant_refusals.fetch_add(1, Ordering::Relaxed);
                 }
                 ModelSnapshot::committed(next_gen, serving, state)
                     .ok()
@@ -244,8 +192,8 @@ fn publish_hook(
             })
             .map(|snap| cell.publish(snap));
         match ok {
-            Some(_) => published.fetch_add(1, Ordering::Relaxed),
-            None => failures.fetch_add(1, Ordering::Relaxed),
+            Some(_) => counts.published.fetch_add(1, Ordering::Relaxed),
+            None => counts.failures.fetch_add(1, Ordering::Relaxed),
         };
         if let Some(store) = &store {
             let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
@@ -256,55 +204,88 @@ fn publish_hook(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_main(
-    mut ctl: WarperController,
-    mut model: Box<dyn CardinalityEstimator>,
-    cell: Arc<SnapshotCell<ModelSnapshot>>,
+/// One shard's adaptation loop: the controller, the private model copy, the
+/// supervisor with the publication hook, and the telemetry probes. Whoever
+/// drives it — the background [`AdaptWorker`] thread, or a synchronous
+/// replay at its segment barriers — calls the same [`Adapter::step`].
+pub struct Adapter {
+    ctl: WarperController,
+    model: Box<dyn CardinalityEstimator>,
+    sup: Supervisor,
+    probe: SketchProbe,
+    canaries: CanarySet,
+    annotator: Annotator,
     table: Arc<RwLock<Table>>,
     fmap: FeatureMap,
-    cfg: AdaptConfig,
-    inbox: Arc<BatchQueue<ArrivedQuery>>,
-    dropped: Arc<AtomicUsize>,
     store: Option<Arc<Mutex<DurableStore>>>,
-) -> AdaptStats {
-    let published = Arc::new(AtomicUsize::new(0));
-    let publish_failures = Arc::new(AtomicUsize::new(0));
-    let quant_refusals = Arc::new(AtomicUsize::new(0));
-    let mut sup = Supervisor::new(cfg.supervisor).with_commit_hook(publish_hook(
-        Arc::clone(&cell),
-        Arc::clone(&published),
-        Arc::clone(&publish_failures),
-        Arc::clone(&quant_refusals),
-        store.clone(),
-        cfg.precision,
-        cfg.supervisor.quant_gmq_tolerance,
-    ));
+    counts: Arc<Published>,
+    stats: AdaptStats,
+}
 
-    let annotator = Annotator::new();
-    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, seed_stream::ADAPT));
-    // Telemetry baselines. A controller recovered from a checkpoint carries
-    // the sketch baseline its model was trained against — resuming from it
-    // means drift that happened across the restart is still seen. A fresh
-    // controller baselines on the table as it stands at spawn.
-    let (mut probe, canaries) = {
-        let t = table.read().unwrap_or_else(PoisonError::into_inner);
-        let probe = match ctl.sketch_baseline() {
-            Some(b) => SketchProbe::from_baseline(b.clone(), ctl.config()),
-            None => SketchProbe::new(&t, ctl.config()),
-        };
-        (probe, CanarySet::new(&t, cfg.canaries, &mut rng))
-    };
-    // The baseline rides every checkpoint the supervisor cuts from here on.
-    ctl.set_sketch_baseline(Some(probe.baseline().clone()));
-
-    let mut stats = AdaptStats::default();
-    let mut batch: Vec<ArrivedQuery> = Vec::new();
-    while inbox.pop_batch(cfg.invoke_every.max(1), cfg.max_wait, &mut batch) {
-        let telemetry = {
+impl Adapter {
+    /// Wires `a` to publish committed updates into `cell`.
+    pub fn new(a: ShardAdapt, cell: Arc<SnapshotCell<ModelSnapshot>>) -> Self {
+        let ShardAdapt {
+            mut ctl,
+            model,
+            table,
+            fmap,
+            cfg,
+            store,
+        } = a;
+        let counts = Arc::new(Published::default());
+        let sup = Supervisor::new(cfg.supervisor).with_commit_hook(publish_hook(
+            cell,
+            Arc::clone(&counts),
+            store.clone(),
+            cfg.precision,
+            cfg.supervisor.quant_gmq_tolerance,
+        ));
+        let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, seed_stream::ADAPT));
+        // Telemetry baselines. A controller recovered from a checkpoint
+        // carries the sketch baseline its model was trained against —
+        // resuming from it means drift that happened across the restart is
+        // still seen. A fresh controller baselines on the table as it
+        // stands now.
+        let (probe, canaries) = {
             let t = table.read().unwrap_or_else(PoisonError::into_inner);
-            probe.telemetry(&t, &canaries)
+            let probe = match ctl.sketch_baseline() {
+                Some(b) => SketchProbe::from_baseline(b.clone(), ctl.config()),
+                None => SketchProbe::new(&t, ctl.config()),
+            };
+            (probe, CanarySet::new(&t, cfg.canaries, &mut rng))
         };
+        // The baseline rides every checkpoint the supervisor cuts from here on.
+        ctl.set_sketch_baseline(Some(probe.baseline().clone()));
+        Self {
+            ctl,
+            model,
+            sup,
+            probe,
+            canaries,
+            annotator: Annotator::new(),
+            table,
+            fmap,
+            store,
+            counts,
+            stats: AdaptStats::default(),
+        }
+    }
+
+    /// One supervised adaptation step over `arrived` — telemetry, log the
+    /// labelled arrivals, then checkpoint → invoke → validate → commit or
+    /// roll back, with every annotation the invocation pays for written
+    /// ahead to the store. An empty batch is not an invocation.
+    pub fn step(&mut self, arrived: &[ArrivedQuery]) {
+        if arrived.is_empty() {
+            return;
+        }
+        let telemetry = {
+            let t = self.table.read().unwrap_or_else(PoisonError::into_inner);
+            self.probe.telemetry(&t, &self.canaries)
+        };
+        let (table, fmap, annotator, store) =
+            (&self.table, &self.fmap, &self.annotator, &self.store);
         let mut annotate = |qs: &[Vec<f64>]| -> Vec<Option<f64>> {
             let preds: Vec<RangePredicate> = qs.iter().map(|f| fmap.defeaturize(f)).collect();
             let labels: Vec<Option<f64>> = {
@@ -315,40 +296,97 @@ fn worker_main(
                     .map(|c| Some(c as f64))
                     .collect()
             };
-            if let Some(store) = &store {
+            if let Some(store) = store {
                 log_annotations(store, qs, &labels);
             }
             labels
         };
-        if let Some(store) = &store {
-            log_labeled_arrivals(store, &batch);
+        if let Some(store) = store {
+            log_labeled_arrivals(store, arrived);
         }
         let t0 = Instant::now();
-        let report = sup.invoke(&mut ctl, model.as_mut(), &batch, &telemetry, &mut annotate);
-        stats.adapt_secs += t0.elapsed().as_secs_f64();
-        stats.invocations += 1;
-        stats.annotated += report.annotated;
-        stats.generated += report.generated;
+        let report = self.sup.invoke(
+            &mut self.ctl,
+            self.model.as_mut(),
+            arrived,
+            &telemetry,
+            &mut annotate,
+        );
+        self.stats.adapt_secs += t0.elapsed().as_secs_f64();
+        self.stats.invocations += 1;
+        self.stats.annotated += report.annotated;
+        self.stats.generated += report.generated;
         if report.rollback.is_some() {
-            stats.rollbacks += 1;
+            self.stats.rollbacks += 1;
         } else {
-            stats.commits += 1;
+            self.stats.commits += 1;
         }
     }
-    // Fully handled whatever drift occurred: rebaseline the probe on the
-    // table as it stands and park the new baseline in the controller so a
-    // successor worker (recovered from the final checkpoint) starts quiet.
-    {
-        let t = table.read().unwrap_or_else(PoisonError::into_inner);
-        probe.rebaseline(&t);
-        ctl.set_sketch_baseline(Some(probe.baseline().clone()));
+
+    /// What the loop did over its lifetime.
+    pub fn finish(self) -> AdaptStats {
+        AdaptStats {
+            probe: self.probe.stats,
+            published: self.counts.published.load(Ordering::Relaxed),
+            publish_failures: self.counts.failures.load(Ordering::Relaxed),
+            quant_refusals: self.counts.quant_refusals.load(Ordering::Relaxed),
+            ..self.stats
+        }
     }
-    stats.probe = probe.stats;
-    stats.published = published.load(Ordering::Relaxed);
-    stats.publish_failures = publish_failures.load(Ordering::Relaxed);
-    stats.quant_refusals = quant_refusals.load(Ordering::Relaxed);
-    stats.dropped_observations = dropped.load(Ordering::Relaxed);
-    stats
+}
+
+/// Handle to the background worker thread driving one [`Adapter`].
+pub struct AdaptWorker {
+    inbox: Arc<BatchQueue<ArrivedQuery>>,
+    dropped: AtomicUsize,
+    handle: JoinHandle<AdaptStats>,
+}
+
+impl AdaptWorker {
+    /// Spawns the worker over `a`; committed updates are snapshotted into
+    /// `cell`. The thread steps once per `invoke_every` observations (or
+    /// after `max_wait` with at least one) until the inbox closes.
+    pub fn spawn(a: ShardAdapt, cell: Arc<SnapshotCell<ModelSnapshot>>) -> Self {
+        let cfg = a.cfg;
+        let inbox = Arc::new(BatchQueue::new(cfg.inbox_capacity.max(1)));
+        let worker_inbox = Arc::clone(&inbox);
+        let handle = std::thread::Builder::new()
+            .name("serve-adapt".into())
+            .spawn(move || {
+                let mut adapter = Adapter::new(a, cell);
+                let mut batch: Vec<ArrivedQuery> = Vec::new();
+                while worker_inbox.pop_batch(cfg.invoke_every.max(1), cfg.max_wait, &mut batch) {
+                    adapter.step(&batch);
+                }
+                adapter.finish()
+            })
+            .expect("spawn adaptation worker");
+        Self {
+            inbox,
+            dropped: AtomicUsize::new(0),
+            handle,
+        }
+    }
+
+    /// Feeds one arrived query to the loop. Never blocks: a full inbox
+    /// drops the observation and the serving path moves on.
+    pub fn observe(&self, q: ArrivedQuery) {
+        if self.inbox.try_push(q).is_err() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Closes the inbox, lets the worker drain it, and returns its stats.
+    pub fn finish(self) -> AdaptStats {
+        self.inbox.close();
+        match self.handle.join() {
+            Ok(stats) => AdaptStats {
+                dropped_observations: self.dropped.into_inner(),
+                ..stats
+            },
+            Err(e) => std::panic::resume_unwind(e),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -389,17 +427,20 @@ mod tests {
         let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
         let shared = Arc::new(RwLock::new(table.clone()));
         let worker = AdaptWorker::spawn(
-            ctl,
-            prepared.model,
-            Arc::clone(&cell),
-            shared,
-            prepared.fmap.clone(),
-            AdaptConfig {
-                invoke_every: 30,
-                max_wait: Duration::from_millis(5),
-                seed: 11,
-                ..Default::default()
+            ShardAdapt {
+                ctl,
+                model: prepared.model,
+                table: shared,
+                fmap: prepared.fmap.clone(),
+                cfg: AdaptConfig {
+                    invoke_every: 30,
+                    max_wait: Duration::from_millis(5),
+                    seed: 11,
+                    ..Default::default()
+                },
+                store: None,
             },
+            Arc::clone(&cell),
         );
 
         // Feed two invocations' worth of drifted-workload arrivals.
@@ -441,18 +482,21 @@ mod tests {
         let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
         let shared = Arc::new(RwLock::new(table.clone()));
         let worker = AdaptWorker::spawn(
-            ctl,
-            prepared.model,
-            cell,
-            shared,
-            prepared.fmap.clone(),
-            AdaptConfig {
-                invoke_every: 1_000_000, // never invoke: everything queues
-                max_wait: Duration::from_secs(60),
-                inbox_capacity: 8,
-                seed: 5,
-                ..Default::default()
+            ShardAdapt {
+                ctl,
+                model: prepared.model,
+                table: shared,
+                fmap: prepared.fmap.clone(),
+                cfg: AdaptConfig {
+                    invoke_every: 1_000_000, // never invoke: everything queues
+                    max_wait: Duration::from_secs(60),
+                    inbox_capacity: 8,
+                    seed: 5,
+                    ..Default::default()
+                },
+                store: None,
             },
+            cell,
         );
         let dim = prepared.fmap.dim();
         let t0 = Instant::now();

@@ -31,24 +31,18 @@
 
 mod pack;
 mod rank;
-mod replay;
 
+pub use crate::adapt::ShardAdapt;
 pub use rank::{DriftRanker, ShardDrift};
-pub use replay::{
-    run_fleet_replay, FleetDurable, FleetReplaySpec, FleetReport, ShardReport, VfsFactory,
-};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use warper_ce::CardinalityEstimator;
-use warper_core::{ArrivedQuery, FeatureMap, WarperController};
-use warper_durable::DurableStore;
-use warper_storage::Table;
+use warper_core::ArrivedQuery;
 
-use crate::adapt::{AdaptConfig, AdaptStats, AdaptWorker};
+use crate::adapt::{AdaptStats, AdaptWorker};
 use crate::queue::{BatchQueue, PushError};
 use crate::service::{Estimate, ResponseSlot, ServeError};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
@@ -114,8 +108,11 @@ pub struct FleetConfig {
     /// How long a worker lingers for more ready shards after the first,
     /// before executing a smaller pack.
     pub pack_linger: Duration,
-    /// Oldest a request may be when a worker picks it up (see
-    /// [`crate::ServiceConfig::queue_deadline`]). `None` disables.
+    /// Oldest a request may be when a worker picks it up. A request that
+    /// waited longer is shed with [`ServeError::ShedDeadline`] instead of
+    /// being answered late — distinct from admission shed
+    /// ([`ServeError::Shed`]) both in the stats and on the wire. `None`
+    /// disables the check.
     pub queue_deadline: Option<Duration>,
     /// Cross-shard packing. `false` keeps the same shared pool and
     /// fairness but runs one `estimate_many` per shard sub-batch — the
@@ -135,25 +132,6 @@ impl Default for FleetConfig {
             packing: true,
         }
     }
-}
-
-/// Everything the adaptation side of one shard needs. The fleet spawns one
-/// [`AdaptWorker`] per shard that carries this.
-pub struct ShardAdapt {
-    /// Adaptation-side controller (fresh or recovered from the shard's
-    /// durable lineage).
-    pub ctl: WarperController,
-    /// Adaptation-side model copy.
-    pub model: Box<dyn CardinalityEstimator>,
-    /// The shard's table (telemetry + annotation).
-    pub table: Arc<RwLock<Table>>,
-    /// Featurization for this shard's schema.
-    pub fmap: FeatureMap,
-    /// Worker knobs. Seed it per shard:
-    /// `derive_seed(derive_seed(master, seed_stream::SHARD), shard_id)`.
-    pub cfg: AdaptConfig,
-    /// The shard's own durable store (its WAL/checkpoint lineage), if any.
-    pub store: Option<Arc<Mutex<DurableStore>>>,
 }
 
 /// One shard's declaration at fleet start.
@@ -339,7 +317,8 @@ impl FleetShared {
 /// per-shard adaptation workers.
 ///
 /// Dropping the fleet closes every shard queue and joins the workers;
-/// in-flight requests are answered first (drain-then-exit).
+/// in-flight requests are answered first (drain-then-exit), and a request
+/// that slipped in behind the drain is answered [`ServeError::Closed`].
 pub struct Fleet {
     shared: Arc<FleetShared>,
     workers: Vec<JoinHandle<()>>,
@@ -380,13 +359,7 @@ impl Fleet {
             .collect();
         let adapts = adapt_inputs
             .into_iter()
-            .map(|input| {
-                input.map(|(a, cell)| {
-                    AdaptWorker::spawn_with_store(
-                        a.ctl, a.model, cell, a.table, a.fmap, a.cfg, a.store,
-                    )
-                })
-            })
+            .map(|input| input.map(|(a, cell)| AdaptWorker::spawn(a, cell)))
             .collect();
         Self {
             shared,
@@ -395,16 +368,26 @@ impl Fleet {
         }
     }
 
+    /// The one-shard fleet — what a single-table service is.
+    pub fn single(
+        snapshot: Arc<ModelSnapshot>,
+        adapt: Option<ShardAdapt>,
+        cfg: FleetConfig,
+    ) -> Self {
+        let key = ShardKey::new("tenant-0000", "main");
+        let spec = ShardSpec {
+            key,
+            snapshot,
+            adapt,
+        };
+        Self::start(vec![spec], cfg)
+    }
+
     /// A clonable handle for submitting requests to any shard.
     pub fn handle(&self) -> FleetHandle {
         FleetHandle {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shared.shards.len()
     }
 
     /// The snapshot cell of shard `id` (tests and publication hooks).
@@ -424,11 +407,6 @@ impl Fleet {
     /// Fleet-wide counters.
     pub fn stats(&self) -> FleetStats {
         self.shared.stats()
-    }
-
-    /// Per-shard counters, indexed by shard id.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shard_stats_inner()
     }
 
     /// The key of shard `id`.
@@ -476,6 +454,18 @@ impl Fleet {
                 std::panic::resume_unwind(e);
             }
         }
+        // A request admitted just before `close()` announces its shard on
+        // the ring only after the push, with no lock held in between: the
+        // workers may already have seen "ring closed and empty" and left.
+        // The queues are closed, so nothing can be admitted behind this
+        // sweep — answer what is stranded instead of leaving it waiting.
+        let mut stranded = Vec::new();
+        for s in &self.shared.shards {
+            s.queue.try_pop_batch(usize::MAX, &mut stranded);
+        }
+        for req in stranded {
+            req.slot.fill(Err(ServeError::Closed));
+        }
     }
 }
 
@@ -510,6 +500,8 @@ impl FleetHandle {
         };
         match s.queue.try_push(req) {
             Ok(()) => {
+                #[cfg(test)]
+                tests::stall_between_admit_and_announce();
                 // Enqueue the shard on the false→true edge only: at most
                 // one ring entry per shard (see ShardRuntime::ready).
                 if !s.ready.swap(true, Ordering::AcqRel) {
@@ -525,11 +517,6 @@ impl FleetHandle {
         }
     }
 
-    /// Number of shards (valid ids are `0..shards`).
-    pub fn shards(&self) -> u32 {
-        self.shared.shards.len() as u32
-    }
-
     /// Records one connection-level deadline expiry against the fleet.
     pub fn note_deadline_trip(&self) {
         self.shared
@@ -541,5 +528,88 @@ impl FleetHandle {
     /// Fleet-wide counters.
     pub fn stats(&self) -> FleetStats {
         self.shared.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::node::ColdModel;
+    use std::sync::mpsc::channel;
+
+    thread_local! {
+        /// What this thread does between its queue push and its ring push —
+        /// the window (tens of nanoseconds otherwise) the tests below hold
+        /// a client in.
+        static WINDOW: std::cell::RefCell<Option<Box<dyn Fn()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn stall_between_admit_and_announce() {
+        WINDOW.with_borrow(|w| w.iter().for_each(|f| f()));
+    }
+
+    fn cold_fleet() -> Fleet {
+        let snapshot = Arc::new(ModelSnapshot::initial(Box::new(ColdModel)));
+        let cfg = FleetConfig {
+            workers: 1,
+            ..FleetConfig::default()
+        };
+        Fleet::single(snapshot, None, cfg)
+    }
+
+    /// The interleaving itself: a request is in its shard queue but not yet
+    /// on the ring when shutdown closes, drains and joins. The workers left
+    /// on "ring closed and empty"; the sweep must answer it.
+    #[test]
+    fn request_admitted_behind_the_drain_is_answered_closed() {
+        let fleet = cold_fleet();
+        let handle = fleet.handle();
+        let (admitted_tx, admitted) = channel();
+        let (resume, resumed) = channel::<()>();
+        let (answer_tx, answer) = channel();
+        std::thread::spawn(move || {
+            WINDOW.set(Some(Box::new(move || {
+                admitted_tx.send(()).unwrap();
+                resumed.recv().unwrap();
+            })));
+            answer_tx.send(handle.estimate(0, Vec::new())).unwrap();
+        });
+        admitted.recv().unwrap();
+        fleet.shutdown();
+        resume.send(()).unwrap();
+        let got = answer.recv_timeout(Duration::from_secs(2));
+        assert_eq!(got, Ok(Err(ServeError::Closed)), "stranded in slot.wait()");
+    }
+
+    /// The same race under load: clients hammer one worker until `Closed`
+    /// while shutdown lands at a varying offset; every call must return.
+    #[test]
+    fn shutdown_never_strands_an_admitted_request() {
+        for iter in 0..5_000u64 {
+            let fleet = cold_fleet();
+            let (done_tx, done) = channel();
+            for _ in 0..6 {
+                let (h, done_tx) = (fleet.handle(), done_tx.clone());
+                std::thread::spawn(move || {
+                    WINDOW.set(Some(Box::new(|| {
+                        std::thread::sleep(Duration::from_micros(30))
+                    })));
+                    loop {
+                        match h.estimate(0, Vec::new()) {
+                            Ok(_) | Err(ServeError::Shed) => {}
+                            Err(ServeError::Closed) => return done_tx.send(()).unwrap(),
+                            Err(e) => panic!("unexpected error {e}"),
+                        }
+                    }
+                });
+            }
+            std::thread::sleep(Duration::from_micros(20 + iter % 150));
+            fleet.shutdown();
+            for _ in 0..6 {
+                let got = done.recv_timeout(Duration::from_secs(2));
+                assert!(got.is_ok(), "iteration {iter}: a client is still blocked");
+            }
+        }
     }
 }

@@ -36,7 +36,6 @@ use warper_core::{
 use warper_durable::{DurabilityConfig, DurabilityError, RecoveryReport, Vfs};
 use warper_metrics::LatencyHistogram;
 use warper_storage::Table;
-use warper_workload::{QueryGenerator, ZipfSampler};
 
 use super::client::{ClientError, ClientStats, EstimateClient, RetryPolicy};
 use super::codec::{Msg, Role, NET_PROTO};
@@ -47,8 +46,9 @@ use super::repl::{
 };
 use super::server::{NetServer, NetServerConfig, NetStats, ServerCore};
 use super::tcp::{dial, TcpDialer};
-use crate::adapt::{AdaptConfig, AdaptStats, AdaptWorker};
-use crate::service::{EstimationService, ServiceConfig, ServiceHandle, ServiceStats};
+use crate::adapt::{AdaptConfig, AdaptStats, ShardAdapt};
+use crate::fleet::{Fleet, FleetConfig, FleetHandle, FleetStats};
+use crate::replay::{build_controller, drive, query_stream, shard_assignment, ClientLog, Served};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 
 /// Everything a primary needs beyond the table and the state directory.
@@ -68,8 +68,8 @@ pub struct PrimarySpec {
     pub adapt: AdaptConfig,
     /// Checkpoint cadence for the durable store.
     pub durability: DurabilityConfig,
-    /// Estimation worker-pool shape.
-    pub service: ServiceConfig,
+    /// Shape of the one-shard fleet that serves.
+    pub service: FleetConfig,
     /// Per-connection deadlines.
     pub net: NetServerConfig,
     /// How long a [`AckMode::Replicated`] append waits for the standby.
@@ -96,7 +96,7 @@ impl Default for PrimarySpec {
             },
             adapt: AdaptConfig::default(),
             durability: DurabilityConfig::default(),
-            service: ServiceConfig::default(),
+            service: FleetConfig::default(),
             net: NetServerConfig::default(),
             ack_timeout: Duration::from_secs(2),
         }
@@ -108,8 +108,8 @@ impl Default for PrimarySpec {
 pub struct PrimaryReport {
     /// Network front-end counters.
     pub net: NetStats,
-    /// Estimation service counters.
-    pub service: ServiceStats,
+    /// Serving fleet counters.
+    pub service: FleetStats,
     /// Adaptation-loop stats.
     pub adapt: AdaptStats,
     /// Replication hub counters.
@@ -118,13 +118,13 @@ pub struct PrimaryReport {
     pub lag: ReplLag,
 }
 
-/// A serving primary: trained model, adaptation worker, replicated durable
-/// store, and the TCP front-end, wired exactly like the in-process replay
-/// harness (`crate::replay`) plus the network and replication layers.
+/// A serving primary: a one-shard [`Fleet`] whose shard adapts against a
+/// replicated durable store, behind the TCP front-end — wired exactly like
+/// the in-process replay harness (`crate::replay`) plus the network and
+/// replication layers. One primary is one durable lineage.
 pub struct PrimaryNode {
     server: Option<NetServer>,
-    service: Option<EstimationService>,
-    adapt: Option<AdaptWorker>,
+    fleet: Option<Fleet>,
     repl: ReplicatedStore,
     hub: Arc<ReplHub>,
     fmap: FeatureMap,
@@ -151,13 +151,11 @@ impl PrimaryNode {
         // freshly trained model serves (same policy as `run_replay`).
         let (store, recovered) =
             warper_durable::DurableStore::open(vfs, spec.durability).map_err(durable_err)?;
-        let mut recovered_state = None;
-        let mut recovered_model = None;
-        if let Some(rec) = recovered {
-            recovered_state = Some(rec.state);
-            recovered_model = rec.model;
-        }
-        let adapt_model: Box<dyn CardinalityEstimator> = match recovered_model {
+        let (recovered_state, recovered_model) = match recovered {
+            Some(rec) => (Some(rec.state), rec.model),
+            None => (None, None),
+        };
+        let model: Box<dyn CardinalityEstimator> = match recovered_model {
             Some(m) if m.feature_dim() == fmap.dim() => m,
             _ => prepared.model,
         };
@@ -165,22 +163,20 @@ impl PrimaryNode {
             Some(state) => {
                 WarperController::from_state(state)?.with_canonicalizer(fmap.make_canonicalizer())
             }
-            None => WarperController::new(
-                fmap.dim(),
+            None => build_controller(
+                &fmap,
                 &prepared.training_set,
                 prepared.baseline_gmq,
                 spec.warper,
-                derive_seed(spec.seed, seed_stream::STRATEGY),
-            )
-            .with_canonicalizer(fmap.make_canonicalizer()),
+                spec.seed,
+            ),
         };
-        let serving = adapt_model.snapshot().ok_or_else(|| {
+        let serving = model.snapshot().ok_or_else(|| {
             WarperError::InvalidState(format!(
                 "{} cannot snapshot; serving requires an immutable copy",
-                adapt_model.name()
+                model.name()
             ))
         })?;
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
 
         // Replication: hub tap first, then a startup checkpoint, so the
         // oldest entry a subscribing standby can fetch is a full snapshot.
@@ -188,32 +184,29 @@ impl PrimaryNode {
         let repl = ReplicatedStore::new(store, Arc::clone(&hub), spec.ack_timeout);
         {
             let mut s = repl.store.lock().unwrap_or_else(PoisonError::into_inner);
-            s.checkpoint(&ctl.to_state(), Some(adapt_model.as_ref()))
+            s.checkpoint(&ctl.to_state(), Some(model.as_ref()))
                 .map_err(durable_err)?;
         }
 
-        let shared = Arc::new(RwLock::new(table.clone()));
-        let adapt_cfg = AdaptConfig {
-            seed: spec.seed,
-            ..spec.adapt
-        };
-        let adapt = AdaptWorker::spawn_with_store(
+        let adapt = ShardAdapt {
             ctl,
-            adapt_model,
-            Arc::clone(&cell),
-            shared,
-            fmap.clone(),
-            adapt_cfg,
-            Some(Arc::clone(&repl.store)),
-        );
-        let service = EstimationService::start(Arc::clone(&cell), spec.service);
-        let core = ServerCore::new(service.handle(), true, Some(Arc::clone(&hub)));
+            model,
+            table: Arc::new(RwLock::new(table.clone())),
+            fmap: fmap.clone(),
+            cfg: AdaptConfig {
+                seed: spec.seed,
+                ..spec.adapt
+            },
+            store: Some(Arc::clone(&repl.store)),
+        };
+        let snapshot = Arc::new(ModelSnapshot::initial(serving));
+        let fleet = Fleet::single(snapshot, Some(adapt), spec.service);
+        let core = ServerCore::new_fleet(fleet.handle(), true, Some(Arc::clone(&hub)));
         let server = NetServer::bind(listen, core, spec.net).map_err(net_err)?;
         let addr = server.local_addr().to_string();
         Ok(Self {
             server: Some(server),
-            service: Some(service),
-            adapt: Some(adapt),
+            fleet: Some(fleet),
             repl,
             hub,
             fmap,
@@ -232,16 +225,11 @@ impl PrimaryNode {
     }
 
     /// In-process submission handle (bypasses the network).
-    pub fn handle(&self) -> ServiceHandle {
-        self.service
+    pub fn handle(&self) -> FleetHandle {
+        self.fleet
             .as_ref()
-            .expect("service runs until shutdown")
+            .expect("fleet runs until shutdown")
             .handle()
-    }
-
-    /// The replication hub (standby shippers fetch from it).
-    pub fn hub(&self) -> &Arc<ReplHub> {
-        &self.hub
     }
 
     /// Measured replication lag right now.
@@ -252,8 +240,8 @@ impl PrimaryNode {
     /// Feed one labeled arrival to the adaptation loop (its WAL path
     /// replicates through the store tap).
     pub fn observe(&self, features: Vec<f64>, gt: Option<f64>) {
-        if let Some(adapt) = &self.adapt {
-            adapt.observe(ArrivedQuery { features, gt });
+        if let Some(fleet) = &self.fleet {
+            fleet.observe(0, ArrivedQuery { features, gt });
         }
     }
 
@@ -268,8 +256,8 @@ impl PrimaryNode {
     }
 
     /// Stop everything — the accept loop, live connections (severed, not
-    /// drained: this doubles as the crash in failover tests), adaptation,
-    /// and the worker pool — and report final counters.
+    /// drained: this doubles as the crash in failover tests), the worker
+    /// pool, and adaptation — and report final counters.
     pub fn shutdown(mut self) -> PrimaryReport {
         let lag = self.hub.lag();
         let net = self
@@ -277,20 +265,11 @@ impl PrimaryNode {
             .take()
             .map(NetServer::shutdown)
             .unwrap_or_default();
-        let adapt = self
-            .adapt
-            .take()
-            .map(AdaptWorker::finish)
-            .unwrap_or_default();
-        let service = self
-            .service
-            .take()
-            .map(EstimationService::shutdown)
-            .unwrap_or_default();
+        let (service, _, adapt) = self.fleet.take().map(Fleet::shutdown).unwrap_or_default();
         PrimaryReport {
             net,
             service,
-            adapt,
+            adapt: adapt.first().map(|&(_, a)| a).unwrap_or_default(),
             repl: self.hub.stats(),
             lag,
         }
@@ -300,8 +279,8 @@ impl PrimaryNode {
 /// Standby tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct StandbyConfig {
-    /// Worker-pool shape for the (post-promotion) front-end.
-    pub service: ServiceConfig,
+    /// Shape of the one-shard fleet behind the (post-promotion) front-end.
+    pub service: FleetConfig,
     /// Per-connection deadlines, shared with the replication link.
     pub net: NetServerConfig,
     /// Checkpoint cadence for the promoted store.
@@ -321,7 +300,7 @@ pub struct StandbyConfig {
 impl Default for StandbyConfig {
     fn default() -> Self {
         Self {
-            service: ServiceConfig::default(),
+            service: FleetConfig::default(),
             net: NetServerConfig::default(),
             durability: DurabilityConfig::default(),
             connect_timeout: Duration::from_millis(250),
@@ -354,8 +333,8 @@ pub struct StandbyState {
 pub struct StandbyReport {
     /// Network front-end counters.
     pub net: NetStats,
-    /// Estimation service counters (nonzero only after promotion).
-    pub service: ServiceStats,
+    /// Serving fleet counters (nonzero only after promotion).
+    pub service: FleetStats,
     /// Replication progress at shutdown.
     pub state: StandbyState,
 }
@@ -363,7 +342,7 @@ pub struct StandbyReport {
 /// Placeholder the standby's cell holds before any validated checkpoint
 /// arrives. It can never answer a request: the front-end refuses with
 /// `Unavailable { NotPrimary }` until promotion flips `ServerCore`.
-struct ColdModel;
+pub(crate) struct ColdModel;
 
 impl CardinalityEstimator for ColdModel {
     fn feature_dim(&self) -> usize {
@@ -392,7 +371,7 @@ struct StandbyShared {
 /// (automatically on link loss, or on request) through full recovery.
 pub struct StandbyNode {
     server: Option<NetServer>,
-    service: Option<EstimationService>,
+    fleet: Option<Fleet>,
     core: Arc<ServerCore>,
     shared: Arc<StandbyShared>,
     repl_thread: Option<JoinHandle<()>>,
@@ -408,11 +387,10 @@ impl StandbyNode {
         primary: String,
         cfg: StandbyConfig,
     ) -> Result<Self, super::NetError> {
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-            ColdModel,
-        ))));
-        let service = EstimationService::start(Arc::clone(&cell), cfg.service);
-        let core = ServerCore::new(service.handle(), false, None);
+        let cold = Arc::new(ModelSnapshot::initial(Box::new(ColdModel)));
+        let fleet = Fleet::single(cold, None, cfg.service);
+        let cell = Arc::clone(fleet.cell(0).expect("the fleet has its one shard"));
+        let core = ServerCore::new_fleet(fleet.handle(), false, None);
         let server = NetServer::bind(listen, Arc::clone(&core), cfg.net)?;
         let addr = server.local_addr().to_string();
         let shared = Arc::new(StandbyShared {
@@ -430,7 +408,7 @@ impl StandbyNode {
         };
         Ok(Self {
             server: Some(server),
-            service: Some(service),
+            fleet: Some(fleet),
             core,
             shared,
             repl_thread: Some(repl_thread),
@@ -486,11 +464,7 @@ impl StandbyNode {
             .take()
             .map(NetServer::shutdown)
             .unwrap_or_default();
-        let service = self
-            .service
-            .take()
-            .map(EstimationService::shutdown)
-            .unwrap_or_default();
+        let (service, _, _) = self.fleet.take().map(Fleet::shutdown).unwrap_or_default();
         StandbyReport {
             net,
             service,
@@ -689,10 +663,9 @@ pub struct NetLoadSpec {
     pub connect_timeout: Duration,
     /// Multi-tenant mode: with `tenants > 1` every query is addressed to a
     /// shard (`Msg::EstimateReqShard`) drawn Zipf(`zipf_s`)-skewed from
-    /// `0..tenants` on the [`seed_stream::SHARD`] stream — the fleet-side
-    /// counterpart of [`crate::fleet::FleetReplaySpec`]. `0` or `1` sends
-    /// plain v1 `EstimateReq` frames (single-service servers, shard 0 on a
-    /// fleet).
+    /// `0..tenants` on the [`seed_stream::SHARD`] stream — the wire-side
+    /// counterpart of [`crate::ReplaySpec::shards`]. `0` or `1` sends plain
+    /// v1 `EstimateReq` frames (shard 0).
     pub tenants: u32,
     /// Zipf exponent of the tenant skew (only read when `tenants > 1`).
     pub zipf_s: f64,
@@ -773,123 +746,87 @@ pub fn run_net_loadgen(table: &Table, spec: &NetLoadSpec) -> Result<NetLoadRepor
     let clients = spec.clients.max(1);
     let fmap = FeatureMap::new(table, spec.model);
     let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, seed_stream::LOADGEN));
-    let mut gen = QueryGenerator::try_from_notation(table, &spec.mix)?;
-    let preds = gen.generate_many(spec.n_queries, &mut rng);
+    let preds = query_stream(table, &spec.mix, spec.n_queries, &mut rng)?;
     let feats: Vec<Vec<f64>> = preds.iter().map(|p| fmap.featurize(p)).collect();
 
     // Multi-tenant addressing: shard assignments draw from their own
-    // stream, exactly as the in-process fleet replay does, so a networked
-    // run and an in-process run of the same seed target the same shards.
+    // stream, exactly as the in-process replay does, so a networked run and
+    // an in-process run of the same seed target the same shards.
     let assign: Option<Vec<u32>> = (spec.tenants > 1).then(|| {
-        let mut shard_rng = StdRng::seed_from_u64(derive_seed(spec.seed, seed_stream::SHARD));
-        let zipf = ZipfSampler::new(spec.tenants as usize, spec.zipf_s);
-        (0..spec.n_queries)
-            .map(|_| zipf.sample(&mut shard_rng) as u32)
-            .collect()
+        shard_assignment(
+            spec.seed,
+            spec.tenants as usize,
+            spec.zipf_s,
+            spec.n_queries,
+        )
     });
 
-    struct ClientOutcome {
-        results: Vec<(usize, u64)>,
-        shed: u64,
+    /// One networked client and what its refusals were.
+    struct NetClient {
+        client: EstimateClient,
         rejected: u64,
         unavailable: u64,
         disconnected: u64,
-        latency: LatencyHistogram,
-        stats: ClientStats,
-        max_gap: Duration,
     }
 
     let t0 = Instant::now();
-    let outcomes: Vec<ClientOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let feats = &feats;
-                let spec = &spec;
-                let assign = &assign;
-                s.spawn(move || {
-                    let dialer = TcpDialer {
-                        endpoints: spec.endpoints.clone(),
-                        connect_timeout: spec.connect_timeout,
-                    };
-                    let seed = derive_seed(derive_seed(spec.seed, seed_stream::NET), c as u64);
-                    let mut client = EstimateClient::new(Box::new(dialer), spec.policy, seed);
-                    let mut out = ClientOutcome {
-                        results: Vec::new(),
-                        shed: 0,
-                        rejected: 0,
-                        unavailable: 0,
-                        disconnected: 0,
-                        latency: LatencyHistogram::new(),
-                        stats: ClientStats::default(),
-                        max_gap: Duration::ZERO,
-                    };
-                    let mut last_ok = Instant::now();
-                    for (idx, f) in feats.iter().enumerate().skip(c).step_by(clients) {
-                        let q0 = Instant::now();
-                        let res = match &assign {
-                            Some(a) => client.estimate_shard(a[idx], f),
-                            None => client.estimate(f),
-                        };
-                        match res {
-                            Ok(est) => {
-                                out.latency.record_duration(q0.elapsed());
-                                out.max_gap = out.max_gap.max(last_ok.elapsed());
-                                last_ok = Instant::now();
-                                out.results.push((idx, est.value.to_bits()));
-                            }
-                            Err(ClientError::Shed) => out.shed += 1,
-                            Err(ClientError::Rejected { .. }) => out.rejected += 1,
-                            Err(ClientError::Unavailable | ClientError::UnknownShard(_)) => {
-                                out.unavailable += 1
-                            }
-                            Err(ClientError::Disconnected(_)) | Err(ClientError::Protocol(_)) => {
-                                out.disconnected += 1
-                            }
-                        }
-                    }
-                    out.stats = client.stats();
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(o) => o,
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect()
-    });
+    let outcomes = drive(
+        0..spec.n_queries,
+        clients,
+        None,
+        |c| {
+            let dialer = TcpDialer {
+                endpoints: spec.endpoints.clone(),
+                connect_timeout: spec.connect_timeout,
+            };
+            let seed = derive_seed(derive_seed(spec.seed, seed_stream::NET), c as u64);
+            NetClient {
+                client: EstimateClient::new(Box::new(dialer), spec.policy, seed),
+                rejected: 0,
+                unavailable: 0,
+                disconnected: 0,
+            }
+        },
+        |nc, idx| {
+            let res = match &assign {
+                Some(a) => nc.client.estimate_shard(a[idx], &feats[idx]),
+                None => nc.client.estimate(&feats[idx]),
+            };
+            match res {
+                Ok(est) => return Served::Ok(est.value),
+                Err(ClientError::Shed) => return Served::Shed,
+                Err(ClientError::Rejected { .. }) => nc.rejected += 1,
+                Err(ClientError::Unavailable | ClientError::UnknownShard(_)) => nc.unavailable += 1,
+                Err(ClientError::Disconnected(_) | ClientError::Protocol(_)) => {
+                    nc.disconnected += 1
+                }
+            }
+            Served::Failed
+        },
+        |_| {},
+    );
     let elapsed = t0.elapsed();
 
-    let mut results: Vec<(usize, u64)> = Vec::with_capacity(spec.n_queries);
+    let (logs, net_clients): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let merged = ClientLog::merged(logs);
     let mut report = NetLoadReport {
         n_queries: spec.n_queries,
-        ok: 0,
-        shed: 0,
+        ok: merged.results.len() as u64,
+        shed: merged.shed as u64,
         rejected: 0,
         unavailable: 0,
         disconnected: 0,
-        checksum: 0,
+        checksum: merged.checksum(),
         elapsed,
-        latency: LatencyHistogram::new(),
+        latency: merged.latency,
         client: ClientStats::default(),
-        max_success_gap: Duration::ZERO,
+        max_success_gap: merged.max_gap,
     };
-    for out in outcomes {
-        report.ok += out.results.len() as u64;
-        report.shed += out.shed;
-        report.rejected += out.rejected;
-        report.unavailable += out.unavailable;
-        report.disconnected += out.disconnected;
-        report.latency.merge(&out.latency);
-        report.max_success_gap = report.max_success_gap.max(out.max_gap);
-        merge_client_stats(&mut report.client, out.stats);
-        results.extend(out.results);
+    for nc in net_clients {
+        report.rejected += nc.rejected;
+        report.unavailable += nc.unavailable;
+        report.disconnected += nc.disconnected;
+        merge_client_stats(&mut report.client, nc.client.stats());
     }
-    // Sort by query index so the checksum folds in a canonical order —
-    // the value is then independent of client striping and interleaving.
-    results.sort_unstable_by_key(|&(idx, _)| idx);
-    report.checksum = crate::replay::checksum(&results);
     Ok(report)
 }

@@ -1,13 +1,17 @@
 //! The connection handler and the TCP accept loop.
 //!
 //! Backpressure discipline: a connection handler holds at most one request
-//! in flight — it reads a frame, asks the shared [`crate::ServiceHandle`]
-//! (whose `BatchQueue` sheds on overflow), and writes exactly one response.
-//! A full queue therefore maps *directly* to a [`Msg::Shed`] on the wire;
-//! nothing on the path buffers unboundedly. Deadlines bound both
+//! in flight — it reads a frame, asks the shared [`FleetHandle`] (whose
+//! per-shard `BatchQueue` sheds on overflow), and writes exactly one
+//! response. A full queue therefore maps *directly* to a [`Msg::Shed`] on
+//! the wire; nothing on the path buffers unboundedly. Deadlines bound both
 //! directions: a read or write that misses its per-connection deadline
-//! trips the counter (surfaced in `ServiceStats::deadline_trips`) and
-//! closes the connection — the client's bounded retry owns recovery.
+//! trips the counter (surfaced in `FleetStats::deadline_trips`) and closes
+//! the connection — the client's bounded retry owns recovery.
+//!
+//! The wire stays v1-compatible: a plain `EstimateReq` routes to shard 0,
+//! an `EstimateReqShard` to the shard it names, and ids outside the fleet
+//! are refused with `Unavailable { UnknownShard }`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -20,7 +24,7 @@ use super::repl::ReplHub;
 use super::tcp::Listener;
 use super::NetError;
 use crate::fleet::FleetHandle;
-use crate::service::{Estimate, ServeError, ServiceHandle};
+use crate::service::ServeError;
 
 /// Per-connection tunables.
 #[derive(Debug, Clone, Copy)]
@@ -94,39 +98,11 @@ pub struct NetStats {
     pub standbys: u64,
 }
 
-/// Where requests land: one service, or a shard-routed fleet.
-///
-/// The wire stays v1-compatible in both directions: a plain `EstimateReq`
-/// against a fleet routes to shard 0, and an `EstimateReqShard` against a
-/// single service is honored for shard 0 and refused with `UnknownShard`
-/// for any other id.
-enum Route {
-    Single(ServiceHandle),
-    Fleet(FleetHandle),
-}
-
-impl Route {
-    fn estimate(&self, shard: u32, features: Vec<f64>) -> Result<Estimate, ServeError> {
-        match self {
-            Route::Single(h) if shard == 0 => h.estimate(features),
-            Route::Single(_) => Err(ServeError::UnknownShard { shard }),
-            Route::Fleet(h) => h.estimate(shard, features),
-        }
-    }
-
-    fn note_deadline_trip(&self) {
-        match self {
-            Route::Single(h) => h.note_deadline_trip(),
-            Route::Fleet(h) => h.note_deadline_trip(),
-        }
-    }
-}
-
 /// Shared state every connection handler works against. Separated from the
 /// TCP accept loop so tests can drive [`serve_connection`] over in-memory
 /// pipes and fault injectors.
 pub struct ServerCore {
-    route: Route,
+    fleet: FleetHandle,
     serving: AtomicBool,
     hub: Option<Arc<ReplHub>>,
     counters: NetCounters,
@@ -134,23 +110,13 @@ pub struct ServerCore {
 }
 
 impl ServerCore {
-    /// `serving = false` starts the node as a refusing standby (requests
-    /// get `Unavailable { NotPrimary }` until [`ServerCore::set_serving`]).
-    /// `hub` enables standby subscriptions (primary role).
-    pub fn new(handle: ServiceHandle, serving: bool, hub: Option<Arc<ReplHub>>) -> Arc<Self> {
-        Self::with_route(Route::Single(handle), serving, hub)
-    }
-
-    /// A core routing to a multi-tenant [`crate::fleet::Fleet`]: requests
-    /// carry a shard id on the wire (`EstimateReqShard`); ids outside the
-    /// fleet are refused with `Unavailable { UnknownShard }`.
+    /// A core routing to `fleet`. `serving = false` starts the node as a
+    /// refusing standby (requests get `Unavailable { NotPrimary }` until
+    /// [`ServerCore::set_serving`]). `hub` enables standby subscriptions
+    /// (primary role).
     pub fn new_fleet(fleet: FleetHandle, serving: bool, hub: Option<Arc<ReplHub>>) -> Arc<Self> {
-        Self::with_route(Route::Fleet(fleet), serving, hub)
-    }
-
-    fn with_route(route: Route, serving: bool, hub: Option<Arc<ReplHub>>) -> Arc<Self> {
         Arc::new(Self {
-            route,
+            fleet,
             serving: AtomicBool::new(serving),
             hub,
             counters: NetCounters::default(),
@@ -239,7 +205,7 @@ fn note_recv_error(core: &Arc<ServerCore>, e: &NetError) {
         NetError::TimedOut => {
             if !core.stopped() {
                 core.counters.deadline_trips.fetch_add(1, Ordering::Relaxed);
-                core.route.note_deadline_trip();
+                core.fleet.note_deadline_trip();
             }
         }
         NetError::Corrupt(_) => {
@@ -265,7 +231,7 @@ fn answer_request(core: &Arc<ServerCore>, id: u64, shard: u32, features: Vec<f64
             reason: Refusal::NotPrimary,
         };
     }
-    match core.route.estimate(shard, features) {
+    match core.fleet.estimate(shard, features) {
         Ok(est) => {
             core.counters.responses_ok.fetch_add(1, Ordering::Relaxed);
             Msg::EstimateOk {
@@ -318,25 +284,14 @@ fn client_loop<S: ByteStream>(conn: &mut FrameConn<S>, core: &Arc<ServerCore>) {
         if core.stopped() {
             return;
         }
-        match conn.recv() {
-            Ok(Msg::EstimateReq { id, features }) => {
-                let resp = answer_request(core, id, 0, features);
-                if let Err(e) = conn.send(&resp) {
-                    note_recv_error(core, &e);
-                    return;
-                }
-            }
+        // A plain v1 request is a request to shard 0.
+        let (id, shard, features) = match conn.recv() {
+            Ok(Msg::EstimateReq { id, features }) => (id, 0, features),
             Ok(Msg::EstimateReqShard {
                 id,
                 shard,
                 features,
-            }) => {
-                let resp = answer_request(core, id, shard, features);
-                if let Err(e) = conn.send(&resp) {
-                    note_recv_error(core, &e);
-                    return;
-                }
-            }
+            }) => (id, shard, features),
             Ok(_) => {
                 core.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -345,6 +300,10 @@ fn client_loop<S: ByteStream>(conn: &mut FrameConn<S>, core: &Arc<ServerCore>) {
                 note_recv_error(core, &e);
                 return;
             }
+        };
+        if let Err(e) = conn.send(&answer_request(core, id, shard, features)) {
+            note_recv_error(core, &e);
+            return;
         }
     }
 }
@@ -408,13 +367,19 @@ fn standby_loop<S: ByteStream>(
     }
 }
 
+/// One accepted connection as the server tracks it: its handler thread and
+/// a cloned stream handle to sever it with.
+struct Conn {
+    kill: Option<Box<dyn ByteStream>>,
+    handler: JoinHandle<()>,
+}
+
 /// The TCP server: accept loop + per-connection handler threads.
 pub struct NetServer {
     core: Arc<ServerCore>,
     addr: String,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<Box<dyn ByteStream>>>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
 }
 
 impl NetServer {
@@ -422,39 +387,45 @@ impl NetServer {
     pub fn bind(addr: &str, core: Arc<ServerCore>, cfg: NetServerConfig) -> Result<Self, NetError> {
         let listener = Listener::bind(addr)?;
         let bound = listener.local_addr().to_string();
-        let conns: Arc<Mutex<Vec<Box<dyn ByteStream>>>> = Arc::default();
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::default();
         let accept = {
             let core = Arc::clone(&core);
             let conns = Arc::clone(&conns);
-            let handlers = Arc::clone(&handlers);
             std::thread::Builder::new()
                 .name("net-accept".into())
                 .spawn(move || loop {
                     if core.stopped() {
                         return;
                     }
-                    match listener.accept_timeout(Duration::from_millis(25)) {
+                    let accepted = listener.accept_timeout(Duration::from_millis(25));
+                    let mut live = conns.lock().unwrap_or_else(PoisonError::into_inner);
+                    // Reap connections whose handler has returned: a
+                    // long-lived server under reconnecting clients must
+                    // hold sockets and thread handles for the live ones
+                    // only.
+                    live.retain(|c| !c.handler.is_finished());
+                    match accepted {
                         Ok(Some(stream)) => {
-                            if let Ok(kill) = stream.try_clone() {
-                                conns
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .push(kill);
-                            }
+                            let kill = stream.try_clone().ok();
                             let core = Arc::clone(&core);
                             let spawned = std::thread::Builder::new()
                                 .name("net-conn".into())
                                 .spawn(move || serve_connection(stream, &core, &cfg));
-                            if let Ok(h) = spawned {
-                                handlers
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .push(h);
+                            if let Ok(handler) = spawned {
+                                live.push(Conn { kill, handler });
                             }
                         }
                         Ok(None) => {}
-                        Err(_) => return,
+                        // A failed accept (fd exhaustion under a reconnect
+                        // storm, a peer that reset while queued) is the
+                        // loss of one connection, not of the server.
+                        Err(_) => {
+                            drop(live);
+                            core.counters
+                                .cut_connections
+                                .fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
                     }
                 })
                 .map_err(|e| NetError::Io(e.to_string()))?
@@ -464,7 +435,6 @@ impl NetServer {
             addr: bound,
             accept: Some(accept),
             conns,
-            handlers,
         })
     }
 
@@ -486,7 +456,9 @@ impl NetServer {
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
         {
-            conn.shutdown();
+            if let Some(kill) = &conn.kill {
+                kill.shutdown();
+            }
         }
     }
 
@@ -497,10 +469,9 @@ impl NetServer {
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
-        let handlers: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.handlers.lock().unwrap_or_else(PoisonError::into_inner));
-        for h in handlers {
-            let _ = h.join();
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
+        for conn in conns {
+            let _ = conn.handler.join();
         }
         self.core.stats()
     }
@@ -513,5 +484,40 @@ impl Drop for NetServer {
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::{Fleet, FleetConfig};
+    use crate::net::node::ColdModel;
+    use crate::snapshot::ModelSnapshot;
+
+    #[test]
+    fn finished_connections_are_reaped_while_the_server_keeps_accepting() {
+        let cold = Arc::new(ModelSnapshot::initial(Box::new(ColdModel)));
+        let fleet = Fleet::single(cold, None, FleetConfig::default());
+        let core = ServerCore::new_fleet(fleet.handle(), true, None);
+        let server = NetServer::bind("127.0.0.1:0", core, NetServerConfig::default()).unwrap();
+        let tracked = || server.conns.lock().unwrap().len();
+        let mut peak = 0;
+        for _ in 0..300 {
+            let stream = super::super::tcp::dial(server.local_addr(), Duration::from_secs(2));
+            let mut conn = FrameConn::new(stream.unwrap());
+            let (role, proto) = (Role::Client, NET_PROTO);
+            conn.send(&Msg::Hello { role, proto }).unwrap();
+            drop(conn);
+            peak = peak.max(tracked());
+        }
+        // Handlers return when they read the close; the accept loop drops
+        // each one's handles on its next tick.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let settled = || server.core().stats().connections == 300 && tracked() == 0;
+        while !settled() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(settled(), "no live connection, nothing tracked");
+        assert!(peak < 100, "tracked handles grew with history: {peak}");
     }
 }

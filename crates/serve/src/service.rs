@@ -1,56 +1,12 @@
-//! The multithreaded estimation service.
+//! The request/response vocabulary of the serving core.
 //!
-//! Requests enter through a clonable [`ServiceHandle`], wait in the bounded
-//! [`BatchQueue`], and are answered by a pool of worker threads that pop a
-//! micro-batch, resolve the current [`ModelSnapshot`] once, and run the
-//! model's batched `estimate_many` path — one GEMM per layer for the whole
-//! batch instead of a matrix-vector product per request. Admission control
-//! is the queue bound: a full queue sheds the request immediately
-//! ([`ServeError::Shed`]) rather than letting latency grow without bound.
-//!
-//! No async runtime: everything is `std` threads, a condvar-backed queue,
-//! and a condvar-backed response slot per request.
+//! Every request — in process through a [`crate::FleetHandle`] or over the
+//! wire through `net::server` — is answered with an [`Estimate`] or a typed
+//! [`ServeError`], delivered through a one-shot [`ResponseSlot`] the
+//! dispatcher fills and the requester waits on. No async runtime: a
+//! condvar-backed slot per request.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use crate::queue::{BatchQueue, PushError};
-use crate::snapshot::{ModelSnapshot, SnapshotCell, SnapshotReader};
-
-/// Service shape knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceConfig {
-    /// Worker threads answering requests.
-    pub workers: usize,
-    /// Queue bound: requests beyond this are shed.
-    pub queue_capacity: usize,
-    /// Largest micro-batch a worker hands to the model at once.
-    pub max_batch: usize,
-    /// How long a worker lingers for a fuller batch after the first
-    /// request arrives. Zero disables batching-by-waiting (batches still
-    /// form from whatever is already queued).
-    pub batch_linger: Duration,
-    /// Oldest a request may be when a worker picks it up. A request that
-    /// waited longer is shed with [`ServeError::ShedDeadline`] instead of
-    /// being answered late — distinct from admission shed
-    /// ([`ServeError::Shed`]) both in the stats and on the wire. `None`
-    /// disables the check.
-    pub queue_deadline: Option<Duration>,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            workers: 2,
-            queue_capacity: 1024,
-            max_batch: 64,
-            batch_linger: Duration::from_micros(200),
-            queue_deadline: None,
-        }
-    }
-}
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// A successful estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,12 +23,12 @@ pub struct Estimate {
 /// Why a request was not answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission control: the queue was full.
+    /// Admission control: the shard's queue was full.
     Shed,
     /// The request was admitted but waited past
-    /// [`ServiceConfig::queue_deadline`] before a worker reached it.
+    /// [`crate::FleetConfig::queue_deadline`] before a worker reached it.
     ShedDeadline,
-    /// The service is shutting down.
+    /// The fleet is shutting down.
     Closed,
     /// The request's feature vector does not match the model.
     FeatureDim {
@@ -81,8 +37,7 @@ pub enum ServeError {
         /// The request's feature count.
         got: usize,
     },
-    /// The request named a shard this fleet does not have (fleet routing
-    /// only — single-service handles never return it).
+    /// The request named a shard this fleet does not have.
     UnknownShard {
         /// The shard id the request asked for.
         shard: u32,
@@ -108,9 +63,7 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A one-shot rendezvous the worker fills and the requester waits on.
-/// Shared with the fleet dispatcher (`crate::fleet`), which packs requests
-/// from many shards but answers each through the same slot protocol.
+/// A one-shot rendezvous the dispatcher fills and the requester waits on.
 pub(crate) struct ResponseSlot {
     result: Mutex<Option<Result<Estimate, ServeError>>>,
     ready: Condvar,
@@ -142,461 +95,5 @@ impl ResponseSlot {
                 .wait(slot)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-}
-
-struct Request {
-    features: Vec<f64>,
-    slot: Arc<ResponseSlot>,
-    enqueued: Instant,
-}
-
-/// Lifetime counters, updated lock-free by workers and handles.
-#[derive(Default)]
-struct Counters {
-    served: AtomicU64,
-    shed: AtomicU64,
-    shed_deadline: AtomicU64,
-    rejected: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    inference_nanos: AtomicU64,
-    deadline_trips: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> ServiceStats {
-        ServiceStats {
-            served: self.served.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            inference_nanos: self.inference_nanos.load(Ordering::Relaxed),
-            deadline_trips: self.deadline_trips.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of the service counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests answered with an estimate.
-    pub served: u64,
-    /// Requests shed by admission control (queue full at push time).
-    pub shed: u64,
-    /// Requests admitted but shed later because they aged past
-    /// [`ServiceConfig::queue_deadline`] before a worker reached them.
-    /// Disjoint from `shed`: a request is counted in exactly one.
-    pub shed_deadline: u64,
-    /// Requests rejected for a feature-dimension mismatch.
-    pub rejected: u64,
-    /// Micro-batches executed.
-    pub batches: u64,
-    /// Requests that rode in those batches (mean batch size =
-    /// `batched_requests / batches`).
-    pub batched_requests: u64,
-    /// Wall-clock nanoseconds workers spent inside the model's
-    /// `estimate_many` (the GEMM time). End-to-end latency minus this is
-    /// queueing + batching + response delivery, which is what makes kernel
-    /// wins attributable in the serve benchmarks.
-    pub inference_nanos: u64,
-    /// Connection-level read/write deadline expiries recorded by the
-    /// network front-end (see `net::server`). Zero for in-process serving.
-    pub deadline_trips: u64,
-}
-
-impl ServiceStats {
-    /// Mean micro-batch size over the service lifetime.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
-    }
-
-    /// Mean microseconds of model inference per micro-batch.
-    pub fn mean_inference_micros_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.inference_nanos as f64 / 1_000.0 / self.batches as f64
-        }
-    }
-
-    /// Mean microseconds of model inference attributed to each served
-    /// request (batch inference time divided across the batch).
-    pub fn mean_inference_micros_per_request(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.inference_nanos as f64 / 1_000.0 / self.served as f64
-        }
-    }
-}
-
-/// The running service: worker threads + the queue they drain.
-///
-/// Dropping the service closes the queue and joins the workers; in-flight
-/// requests are answered first (drain-then-exit).
-pub struct EstimationService {
-    queue: Arc<BatchQueue<Request>>,
-    counters: Arc<Counters>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl EstimationService {
-    /// Starts `cfg.workers` threads serving from `cell`.
-    pub fn start(cell: Arc<SnapshotCell<ModelSnapshot>>, cfg: ServiceConfig) -> Self {
-        let queue = Arc::new(BatchQueue::new(cfg.queue_capacity));
-        let counters = Arc::new(Counters::default());
-        let workers = (0..cfg.workers.max(1))
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let counters = Arc::clone(&counters);
-                let reader = SnapshotReader::new(Arc::clone(&cell));
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(queue, reader, counters, cfg))
-                    .expect("spawn serve worker")
-            })
-            .collect();
-        Self {
-            queue,
-            counters,
-            workers,
-        }
-    }
-
-    /// A clonable handle for submitting requests.
-    pub fn handle(&self) -> ServiceHandle {
-        ServiceHandle {
-            queue: Arc::clone(&self.queue),
-            counters: Arc::clone(&self.counters),
-        }
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> ServiceStats {
-        self.counters.snapshot()
-    }
-
-    /// Closes the queue, drains in-flight requests, and joins the workers.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.shutdown_inner();
-        self.stats()
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            // A worker that panicked already poisoned nothing we rely on;
-            // surface the panic to the caller.
-            if let Err(e) = w.join() {
-                std::panic::resume_unwind(e);
-            }
-        }
-    }
-}
-
-impl Drop for EstimationService {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn worker_loop(
-    queue: Arc<BatchQueue<Request>>,
-    mut reader: SnapshotReader<ModelSnapshot>,
-    counters: Arc<Counters>,
-    cfg: ServiceConfig,
-) {
-    let mut batch: Vec<Request> = Vec::with_capacity(cfg.max_batch);
-    while queue.pop_batch(cfg.max_batch, cfg.batch_linger, &mut batch) {
-        let (_, snap) = reader.current();
-        let generation = snap.generation;
-        let expected = snap.model.feature_dim();
-        // Shed requests that aged out in the queue, reject dimension
-        // mismatches individually; batch the rest.
-        let now = Instant::now();
-        let mut ok: Vec<Request> = Vec::with_capacity(batch.len());
-        for req in batch.drain(..) {
-            if let Some(deadline) = cfg.queue_deadline {
-                if now.duration_since(req.enqueued) > deadline {
-                    counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                    req.slot.fill(Err(ServeError::ShedDeadline));
-                    continue;
-                }
-            }
-            if req.features.len() == expected {
-                ok.push(req);
-            } else {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-                req.slot.fill(Err(ServeError::FeatureDim {
-                    expected,
-                    got: req.features.len(),
-                }));
-            }
-        }
-        if ok.is_empty() {
-            continue;
-        }
-        let refs: Vec<&[f64]> = ok.iter().map(|r| r.features.as_slice()).collect();
-        let t0 = Instant::now();
-        let values = snap.model.estimate_many(&refs);
-        counters
-            .inference_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let batch_size = ok.len();
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters
-            .batched_requests
-            .fetch_add(batch_size as u64, Ordering::Relaxed);
-        counters
-            .served
-            .fetch_add(batch_size as u64, Ordering::Relaxed);
-        for (req, value) in ok.into_iter().zip(values) {
-            req.slot.fill(Ok(Estimate {
-                value,
-                generation,
-                batch_size,
-            }));
-        }
-    }
-}
-
-/// A clonable submission handle. `estimate` blocks the calling thread until
-/// the answer arrives (or the request is shed/rejected immediately).
-#[derive(Clone)]
-pub struct ServiceHandle {
-    queue: Arc<BatchQueue<Request>>,
-    counters: Arc<Counters>,
-}
-
-impl ServiceHandle {
-    /// Submits one request and waits for its estimate.
-    pub fn estimate(&self, features: Vec<f64>) -> Result<Estimate, ServeError> {
-        let slot = Arc::new(ResponseSlot::new());
-        let req = Request {
-            features,
-            slot: Arc::clone(&slot),
-            enqueued: Instant::now(),
-        };
-        match self.queue.try_push(req) {
-            Ok(()) => slot.wait(),
-            Err(PushError::Full(_)) => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Shed)
-            }
-            Err(PushError::Closed(_)) => Err(ServeError::Closed),
-        }
-    }
-
-    /// Records one connection-level deadline expiry. The network front-end
-    /// calls this so transport-induced drops show up next to shed/rejected
-    /// in [`ServiceStats`] instead of vanishing with the connection.
-    pub fn note_deadline_trip(&self) {
-        self.counters.deadline_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time counters (same snapshot [`EstimationService::stats`]
-    /// takes; exposed on the handle for components that only hold one).
-    pub fn stats(&self) -> ServiceStats {
-        self.counters.snapshot()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
-
-    /// `estimate = scale · (1 + Σf)` — cheap, deterministic, snapshotable.
-    #[derive(Clone)]
-    struct ToyModel {
-        dim: usize,
-        scale: f64,
-    }
-
-    impl CardinalityEstimator for ToyModel {
-        fn feature_dim(&self) -> usize {
-            self.dim
-        }
-        fn estimate(&self, f: &[f64]) -> f64 {
-            self.scale * (1.0 + f.iter().sum::<f64>())
-        }
-        fn fit(&mut self, _e: &[LabeledExample]) {}
-        fn update(&mut self, _e: &[LabeledExample]) {}
-        fn update_kind(&self) -> UpdateKind {
-            UpdateKind::FineTune
-        }
-        fn name(&self) -> &'static str {
-            "toy"
-        }
-    }
-
-    fn toy_cell(scale: f64) -> Arc<SnapshotCell<ModelSnapshot>> {
-        Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-            ToyModel { dim: 3, scale },
-        ))))
-    }
-
-    #[test]
-    fn serves_correct_estimates_from_many_threads() {
-        let cell = toy_cell(10.0);
-        let service = EstimationService::start(Arc::clone(&cell), ServiceConfig::default());
-        let handle = service.handle();
-        std::thread::scope(|s| {
-            for c in 0..4 {
-                let h = handle.clone();
-                s.spawn(move || {
-                    for i in 0..200 {
-                        let f = vec![(c * 200 + i) as f64, 0.0, 1.0];
-                        let want = 10.0 * (1.0 + f.iter().sum::<f64>());
-                        let est = h.estimate(f).unwrap();
-                        assert_eq!(est.value, want);
-                        assert_eq!(est.generation, 0);
-                        assert!(est.batch_size >= 1);
-                    }
-                });
-            }
-        });
-        let stats = service.shutdown();
-        assert_eq!(stats.served, 800);
-        assert_eq!(stats.shed, 0);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.batched_requests, 800);
-    }
-
-    #[test]
-    fn feature_dim_mismatch_is_rejected_per_request() {
-        let cell = toy_cell(1.0);
-        let service = EstimationService::start(cell, ServiceConfig::default());
-        let handle = service.handle();
-        assert_eq!(
-            handle.estimate(vec![0.0; 5]),
-            Err(ServeError::FeatureDim {
-                expected: 3,
-                got: 5
-            })
-        );
-        assert!(handle.estimate(vec![0.0; 3]).is_ok());
-        let stats = service.shutdown();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.served, 1);
-    }
-
-    #[test]
-    fn requests_after_shutdown_are_closed_not_hung() {
-        let cell = toy_cell(1.0);
-        let service = EstimationService::start(cell, ServiceConfig::default());
-        let handle = service.handle();
-        drop(service);
-        assert_eq!(handle.estimate(vec![0.0; 3]), Err(ServeError::Closed));
-    }
-
-    #[test]
-    fn published_snapshot_takes_over_new_requests() {
-        let cell = toy_cell(1.0);
-        let service = EstimationService::start(Arc::clone(&cell), ServiceConfig::default());
-        let handle = service.handle();
-        assert_eq!(handle.estimate(vec![0.0; 3]).unwrap().value, 1.0);
-        cell.publish(ModelSnapshot {
-            generation: 1,
-            model: Box::new(ToyModel { dim: 3, scale: 5.0 }),
-            precision: warper_ce::Precision::F64,
-        });
-        let est = handle.estimate(vec![0.0; 3]).unwrap();
-        assert_eq!(est.value, 5.0);
-        assert_eq!(est.generation, 1);
-    }
-
-    #[test]
-    fn tiny_queue_sheds_under_burst_but_never_errors() {
-        let cell = toy_cell(1.0);
-        let service = EstimationService::start(
-            cell,
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 2,
-                max_batch: 2,
-                batch_linger: Duration::from_millis(2),
-                ..ServiceConfig::default()
-            },
-        );
-        let handle = service.handle();
-        let shed = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let h = handle.clone();
-                let shed = &shed;
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        match h.estimate(vec![0.5; 3]) {
-                            Ok(est) => assert!(est.value.is_finite()),
-                            Err(ServeError::Shed) => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("unexpected error {e}"),
-                        }
-                    }
-                });
-            }
-        });
-        let stats = service.shutdown();
-        assert_eq!(stats.served + stats.shed, 400);
-        assert_eq!(stats.shed, shed.load(Ordering::Relaxed));
-        assert_eq!(stats.shed_deadline, 0, "no queue deadline configured");
-    }
-
-    #[test]
-    fn queue_deadline_sheds_are_counted_apart_from_admission_sheds() {
-        let cell = toy_cell(1.0);
-        // A zero deadline means every admitted request has aged out by the
-        // time a worker picks it up; the tiny queue also forces admission
-        // sheds under the burst. The two counters must stay disjoint.
-        let service = EstimationService::start(
-            cell,
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 2,
-                max_batch: 2,
-                batch_linger: Duration::from_millis(1),
-                queue_deadline: Some(Duration::ZERO),
-            },
-        );
-        let handle = service.handle();
-        let (admission, deadline) = (AtomicU64::new(0), AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let h = handle.clone();
-                let (admission, deadline) = (&admission, &deadline);
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        match h.estimate(vec![0.5; 3]) {
-                            Ok(est) => panic!("zero deadline must shed, got {est:?}"),
-                            Err(ServeError::Shed) => {
-                                admission.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(ServeError::ShedDeadline) => {
-                                deadline.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("unexpected error {e}"),
-                        }
-                    }
-                });
-            }
-        });
-        let stats = service.shutdown();
-        assert_eq!(stats.served, 0);
-        assert_eq!(stats.shed + stats.shed_deadline, 200);
-        assert_eq!(stats.shed, admission.load(Ordering::Relaxed));
-        assert_eq!(stats.shed_deadline, deadline.load(Ordering::Relaxed));
-        assert!(
-            stats.shed_deadline > 0,
-            "every admitted request must trip the zero deadline"
-        );
     }
 }

@@ -16,9 +16,12 @@ use std::sync::Arc;
 
 use warper_core::runner::DataDriftKind;
 use warper_core::{SupervisorConfig, WarperConfig};
-use warper_durable::{DurabilityConfig, DurableStore, FailKind, FailPlan, FailpointVfs, MemVfs};
+use warper_durable::{
+    DurabilityConfig, DurableStore, FailKind, FailPlan, FailpointVfs, MemVfs, Vfs,
+};
 use warper_serve::replay::{
-    run_replay, AdaptMode, DriftEvent, DriftKind, DurableReplay, ReplaySpec,
+    run_replay, AdaptMode, DriftEvent, DriftKind, DurabilityReport, DurableReplay, ReplayReport,
+    ReplaySpec,
 };
 use warper_storage::{generate, DatasetKind};
 
@@ -49,14 +52,19 @@ fn durable_spec(mem: &MemVfs, seed: u64) -> ReplaySpec {
         },
         warper: small_warper(),
         seed,
-        durable: Some(DurableReplay {
-            vfs: Arc::new(mem.clone()),
-            cfg: DurabilityConfig {
-                checkpoint_every: 1,
-            },
-        }),
+        durable: Some(durable(Arc::new(mem.clone()))),
         ..Default::default()
     }
+}
+
+fn durable(vfs: Arc<dyn Vfs>) -> DurableReplay {
+    let checkpoint_every = 1;
+    DurableReplay::single(vfs, DurabilityConfig { checkpoint_every })
+}
+
+/// The durability report of the replay's one adapting shard.
+fn durability(rep: &ReplayReport) -> Option<&DurabilityReport> {
+    rep.durability.first().map(|(_, d)| d)
 }
 
 /// What the state directory durably holds right now, read through an
@@ -106,7 +114,7 @@ fn replay_resumes_from_state_dir_without_losing_committed_labels() {
 
     let rep1 = run_replay(&table, &durable_spec(&mem, 23)).unwrap();
     assert_eq!(rep1.errors, 0);
-    let d1 = rep1.durability.expect("durable report");
+    let d1 = durability(&rep1).expect("durable report");
     assert!(!d1.resumed, "first run starts a fresh directory");
     assert!(d1.checkpoints >= 1, "{d1:?}");
     assert!(
@@ -123,7 +131,7 @@ fn replay_resumes_from_state_dir_without_losing_committed_labels() {
     // usable labels — before it continues adapting.
     let rep2 = run_replay(&table, &durable_spec(&mem, 24)).unwrap();
     assert_eq!(rep2.errors, 0);
-    let d2 = rep2.durability.expect("durable report");
+    let d2 = durability(&rep2).expect("durable report");
     assert!(d2.resumed, "{d2:?}");
     assert!(d2.resumed_from_seq >= 1, "{d2:?}");
     assert_eq!(d2.restored_pool_len, before.pool_len, "{d2:?}");
@@ -142,10 +150,7 @@ fn power_cut_mid_replay_resumes_from_last_durable_image() {
 
     // Establish a durable base.
     let rep1 = run_replay(&table, &durable_spec(&mem, 23)).unwrap();
-    assert_eq!(
-        rep1.durability.as_ref().map(|d| d.wal_append_failures),
-        Some(0)
-    );
+    assert_eq!(durability(&rep1).map(|d| d.wal_append_failures), Some(0));
 
     // A run whose state directory dies mid-flight: every VFS operation from
     // the 60th on fails as a power cut. Depending on where the cut lands,
@@ -160,12 +165,7 @@ fn power_cut_mid_replay_resumes_from_last_durable_image() {
         },
     );
     let mut crashed = durable_spec(&mem, 31);
-    crashed.durable = Some(DurableReplay {
-        vfs: Arc::new(fp),
-        cfg: DurabilityConfig {
-            checkpoint_every: 1,
-        },
-    });
+    crashed.durable = Some(durable(Arc::new(fp)));
     if let Ok(rep) = run_replay(&table, &crashed) {
         assert_eq!(rep.errors, 0, "durability faults must not fail serving");
     }
@@ -178,7 +178,7 @@ fn power_cut_mid_replay_resumes_from_last_durable_image() {
     // A fresh replay over the cut directory restores exactly that image.
     let rep3 = run_replay(&table, &durable_spec(&mem, 32)).unwrap();
     assert_eq!(rep3.errors, 0);
-    let d3 = rep3.durability.expect("durable report");
+    let d3 = durability(&rep3).expect("durable report");
     assert!(d3.resumed, "{d3:?}");
     assert_eq!(d3.restored_pool_len, image.pool_len, "{d3:?}");
     assert_eq!(d3.restored_pool_labeled, image.labeled, "{d3:?}");

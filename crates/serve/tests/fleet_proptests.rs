@@ -20,8 +20,8 @@ use warper_core::runner::ModelKind;
 use warper_core::{prepare_single_table, WarperConfig};
 use warper_durable::{DurabilityConfig, MemVfs, ScopedVfs, Vfs};
 use warper_serve::{
-    prepare_serving_model, run_fleet_replay, Fleet, FleetConfig, FleetDurable, FleetReplaySpec,
-    ModelSnapshot, Precision, ServeError, ShardKey, ShardSpec,
+    prepare_serving_model, run_replay, AdaptConfig, AdaptMode, DurableReplay, Fleet, FleetConfig,
+    ModelSnapshot, Precision, ReplaySpec, ServeError, ShardKey, ShardSpec,
 };
 use warper_storage::{generate, DatasetKind};
 use warper_workload::QueryGenerator;
@@ -166,6 +166,7 @@ proptest! {
 /// tiny admission queue must overflow under concurrent offered load.
 struct SlowModel {
     delay: Duration,
+    base: f64,
 }
 
 impl CardinalityEstimator for SlowModel {
@@ -176,7 +177,7 @@ impl CardinalityEstimator for SlowModel {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
-        100.0 + f[0]
+        self.base + f[0]
     }
     fn fit(&mut self, _e: &[LabeledExample]) {}
     fn update(&mut self, _e: &[LabeledExample]) {}
@@ -189,14 +190,81 @@ impl CardinalityEstimator for SlowModel {
 }
 
 fn toy_fleet(n_shards: usize, delay: Duration, cfg: FleetConfig) -> Fleet {
+    let base = 100.0;
     let specs = (0..n_shards)
         .map(|i| ShardSpec {
             key: ShardKey::new(format!("toy-{i}"), "main"),
-            snapshot: Arc::new(ModelSnapshot::initial(Box::new(SlowModel { delay }))),
+            snapshot: Arc::new(ModelSnapshot::initial(Box::new(SlowModel { delay, base }))),
             adapt: None,
         })
         .collect();
     Fleet::start(specs, cfg)
+}
+
+// The single-service core's unit tests, on the one-shard fleet that replaced it.
+
+#[test]
+fn serves_correct_estimates_from_many_threads() {
+    let fleet = toy_fleet(1, Duration::ZERO, FleetConfig::default());
+    let handle = fleet.handle();
+    std::thread::scope(|s| {
+        for c in 0..4 {
+            let h = handle.clone();
+            s.spawn(move || {
+                for i in 0..200 {
+                    let x = (c * 200 + i) as f64;
+                    let est = h.estimate(0, vec![x, 1.0]).unwrap();
+                    assert_eq!(est.value, 100.0 + x);
+                    assert_eq!(est.generation, 0);
+                    assert!(est.batch_size >= 1);
+                }
+            });
+        }
+    });
+    let (stats, _, _) = fleet.shutdown();
+    assert_eq!(stats.served, 800);
+    assert_eq!(stats.shed, 0);
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.packed_requests, 800);
+}
+
+#[test]
+fn feature_dim_mismatch_is_rejected_per_request() {
+    let fleet = toy_fleet(1, Duration::ZERO, FleetConfig::default());
+    let handle = fleet.handle();
+    let (expected, got) = (2, 5);
+    assert_eq!(
+        handle.estimate(0, vec![0.0; 5]),
+        Err(ServeError::FeatureDim { expected, got })
+    );
+    assert!(handle.estimate(0, vec![0.0; 2]).is_ok());
+    let (stats, _, _) = fleet.shutdown();
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.served, 1);
+}
+
+#[test]
+fn requests_after_shutdown_are_closed_not_hung() {
+    let fleet = toy_fleet(1, Duration::ZERO, FleetConfig::default());
+    let handle = fleet.handle();
+    drop(fleet);
+    assert_eq!(handle.estimate(0, vec![0.0; 2]), Err(ServeError::Closed));
+}
+
+#[test]
+fn published_snapshot_takes_over_new_requests() {
+    let fleet = toy_fleet(1, Duration::ZERO, FleetConfig::default());
+    let handle = fleet.handle();
+    assert_eq!(handle.estimate(0, vec![0.0; 2]).unwrap().value, 100.0);
+    let (delay, base) = (Duration::ZERO, 5.0);
+    fleet.cell(0).unwrap().publish(ModelSnapshot {
+        generation: 1,
+        model: Box::new(SlowModel { delay, base }),
+        precision: Precision::F64,
+    });
+    let est = handle.estimate(0, vec![0.0; 2]).unwrap();
+    assert_eq!(est.value, 5.0);
+    assert_eq!(est.generation, 1);
 }
 
 #[test]
@@ -286,10 +354,11 @@ fn queue_overflow_counts_as_admission_shed_only() {
 // Per-shard durable resume through the replay harness
 // ---------------------------------------------------------------------------
 
-fn durable_fleet_spec(mem: &MemVfs, seed: u64) -> FleetReplaySpec {
+fn durable_fleet_spec(mem: &MemVfs, seed: u64) -> ReplaySpec {
     let mem = mem.clone();
-    FleetReplaySpec {
+    ReplaySpec {
         shards: 4,
+        adapt: AdaptMode::Background(AdaptConfig::default()),
         adapt_shards: 2,
         n_train: 150,
         n_queries: 160,
@@ -304,7 +373,7 @@ fn durable_fleet_spec(mem: &MemVfs, seed: u64) -> FleetReplaySpec {
             ..Default::default()
         },
         seed,
-        durable: Some(FleetDurable {
+        durable: Some(DurableReplay {
             cfg: DurabilityConfig {
                 checkpoint_every: 1,
             },
@@ -324,7 +393,7 @@ fn fleet_replay_resumes_every_adapting_shard_from_its_own_lineage() {
     let table = generate(DatasetKind::Poker, 1_200, 4);
     let mem = MemVfs::new();
 
-    let first = run_fleet_replay(&table, &durable_fleet_spec(&mem, 41)).expect("first fleet run");
+    let first = run_replay(&table, &durable_fleet_spec(&mem, 41)).expect("first fleet run");
     assert_eq!(first.durability.len(), 2, "both adapting shards own stores");
     for (id, d) in &first.durability {
         assert!(!d.resumed, "shard {id}: first run starts a fresh lineage");
@@ -332,7 +401,7 @@ fn fleet_replay_resumes_every_adapting_shard_from_its_own_lineage() {
     }
     mem.power_cut();
 
-    let second = run_fleet_replay(&table, &durable_fleet_spec(&mem, 43)).expect("second fleet run");
+    let second = run_replay(&table, &durable_fleet_spec(&mem, 43)).expect("second fleet run");
     assert_eq!(second.served + second.shed, 160);
     assert_eq!(second.durability.len(), 2);
     for (id, d) in &second.durability {

@@ -28,7 +28,7 @@ use warper_serve::net::{
     NetFailPlan, NetFaultKind, NetServerConfig, ReplHub, ReplicatedStore, Role, ServerCore,
     StandbyApplier, NET_PROTO,
 };
-use warper_serve::{EstimationService, ModelSnapshot, ServiceConfig, SnapshotCell};
+use warper_serve::{Fleet, FleetConfig, ModelSnapshot, SnapshotCell};
 
 /// One healthy controller state, built once (controller construction
 /// pre-trains the GAN — too slow to repeat per fault schedule).
@@ -104,19 +104,19 @@ fn run_scenario(plan: Option<NetFailPlan>, n_labels: usize) -> Scenario {
             .expect("startup checkpoint");
     }
 
-    // The handler needs a live service handle even though this scenario
+    // The handler needs a live fleet handle even though this scenario
     // never sends estimate traffic over the replication link.
-    let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-        LmLinear::new(4),
-    ))));
-    let service = EstimationService::start(
-        Arc::clone(&cell),
-        ServiceConfig {
-            workers: 1,
+    let snapshot = Arc::new(ModelSnapshot::initial(Box::new(LmLinear::new(4))));
+    let workers = 1;
+    let service = Fleet::single(
+        snapshot,
+        None,
+        FleetConfig {
+            workers,
             ..Default::default()
         },
     );
-    let core = ServerCore::new(service.handle(), true, Some(Arc::clone(&hub)));
+    let core = ServerCore::new_fleet(service.handle(), true, Some(Arc::clone(&hub)));
     let cfg = NetServerConfig {
         read_deadline: Duration::from_secs(2),
         write_deadline: Duration::from_secs(2),
@@ -352,11 +352,9 @@ fn clients_get_typed_errors_and_never_hang_across_link_faults() {
         }
     }
 
-    let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-        LmLinear::new(4),
-    ))));
-    let service = EstimationService::start(Arc::clone(&cell), ServiceConfig::default());
-    let core = ServerCore::new(service.handle(), true, None);
+    let snapshot = Arc::new(ModelSnapshot::initial(Box::new(LmLinear::new(4))));
+    let service = Fleet::single(snapshot, None, FleetConfig::default());
+    let core = ServerCore::new_fleet(service.handle(), true, None);
     let cfg = NetServerConfig {
         read_deadline: Duration::from_millis(500),
         write_deadline: Duration::from_millis(500),

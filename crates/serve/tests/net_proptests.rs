@@ -9,7 +9,7 @@
 //!   bytes, and any message round-trips bit-exactly (including NaN
 //!   feature values, which travel as raw bits).
 //! * **Backpressure on the wire**: a full `BatchQueue` maps directly to
-//!   `Msg::Shed`, counted in both `NetStats` and `ServiceStats`; a
+//!   `Msg::Shed`, counted in both `NetStats` and `FleetStats`; a
 //!   connection that misses its read deadline trips the counters in both.
 //! * **Golden fixture**: `tests/fixtures/wire_v1.hex` holds one canonical
 //!   frame per message variant; the production framer must reproduce each
@@ -25,7 +25,7 @@ use warper_serve::net::{
     decode, encode, mem_pair, serve_connection, ByteStream, FrameConn, Msg, NetError,
     NetServerConfig, Refusal, Role, ServerCore, MAX_NET_FRAME, NET_PROTO,
 };
-use warper_serve::{EstimationService, ModelSnapshot, ServiceConfig, SnapshotCell};
+use warper_serve::{Fleet, FleetConfig, ModelSnapshot};
 
 // ---------------------------------------------------------------------------
 // Codec fuzzing
@@ -238,19 +238,18 @@ fn dial_client(core: &Arc<ServerCore>, cfg: NetServerConfig) -> FrameConn<impl B
 #[test]
 fn full_queue_sheds_on_the_wire_and_in_both_counters() {
     let model = GatedModel::new();
-    let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-        model.clone(),
-    ))));
-    let service = EstimationService::start(
-        Arc::clone(&cell),
-        ServiceConfig {
+    let service = Fleet::single(
+        Arc::new(ModelSnapshot::initial(Box::new(model.clone()))),
+        None,
+        FleetConfig {
             workers: 1,
-            queue_capacity: 1,
-            max_batch: 1,
+            per_shard_queue: 1,
+            max_packed_batch: 1,
+            quantum: 1,
             ..Default::default()
         },
     );
-    let core = ServerCore::new(service.handle(), true, None);
+    let core = ServerCore::new_fleet(service.handle(), true, None);
     let cfg = NetServerConfig::default();
 
     // Request 1: the worker pops it and blocks inside the gated model.
@@ -294,22 +293,20 @@ fn full_queue_sheds_on_the_wire_and_in_both_counters() {
     let net = core.stats();
     assert_eq!(net.shed, 1, "exactly one request shed on the wire");
     assert_eq!(net.responses_ok, 2);
-    let svc = service.shutdown();
-    assert_eq!(svc.shed, 1, "the shed also lands in ServiceStats");
+    let (svc, _, _) = service.shutdown();
+    assert_eq!(svc.shed, 1, "the shed also lands in FleetStats");
     assert_eq!(svc.served, 2);
 }
 
 /// A silent client trips the per-connection read deadline: the server
 /// closes the connection and the trip is counted in `NetStats` *and*
-/// `ServiceStats` (the deadline is part of the service's backpressure
+/// `FleetStats` (the deadline is part of the service's backpressure
 /// story, not just the transport's).
 #[test]
 fn deadline_trips_surface_in_net_and_service_stats() {
-    let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-        GatedModel::new(),
-    ))));
-    let service = EstimationService::start(Arc::clone(&cell), ServiceConfig::default());
-    let core = ServerCore::new(service.handle(), true, None);
+    let snapshot = Arc::new(ModelSnapshot::initial(Box::new(GatedModel::new())));
+    let service = Fleet::single(snapshot, None, FleetConfig::default());
+    let core = ServerCore::new_fleet(service.handle(), true, None);
     let cfg = NetServerConfig {
         read_deadline: Duration::from_millis(60),
         write_deadline: Duration::from_millis(200),
@@ -330,8 +327,8 @@ fn deadline_trips_surface_in_net_and_service_stats() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(core.stats().deadline_trips, 1, "trip counted in NetStats");
-    let svc = service.shutdown();
-    assert_eq!(svc.deadline_trips, 1, "trip counted in ServiceStats");
+    let (svc, _, _) = service.shutdown();
+    assert_eq!(svc.deadline_trips, 1, "trip counted in FleetStats");
 }
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ use warper_serve::net::{
     run_net_loadgen, AckMode, ClientError, EstimateClient, NetLoadSpec, NetServer, NetServerConfig,
     PrimaryNode, PrimarySpec, RetryPolicy, ServerCore, StandbyConfig, StandbyNode, TcpDialer,
 };
-use warper_serve::{Fleet, FleetConfig, ModelSnapshot, ServiceConfig, ShardKey, ShardSpec};
+use warper_serve::{Fleet, FleetConfig, ModelSnapshot, ShardKey, ShardSpec};
 use warper_storage::{generate, DatasetKind, Table};
 
 fn small_table() -> Table {
@@ -43,7 +43,7 @@ fn quick_spec(seed: u64) -> PrimarySpec {
             n_p: 30,
             ..Default::default()
         },
-        service: ServiceConfig {
+        service: FleetConfig {
             workers: 2,
             ..Default::default()
         },

@@ -18,8 +18,8 @@ use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
 use warper_core::detect::DataTelemetry;
 use warper_core::{ArrivedQuery, Supervisor, SupervisorConfig, WarperConfig, WarperController};
 use warper_serve::{
-    gate_and_choose, EstimationService, ModelSnapshot, Precision, QuantOutcome, ServeError,
-    ServiceConfig, SnapshotCell, SnapshotReader,
+    gate_and_choose, Fleet, FleetConfig, ModelSnapshot, Precision, QuantOutcome, ServeError,
+    SnapshotCell, SnapshotReader,
 };
 
 /// The probe every reader sends; a model's identity is its answer to it.
@@ -136,9 +136,16 @@ proptest! {
             .unwrap_or_else(PoisonError::into_inner)
             .insert(model.estimate(&PROBE).to_bits());
 
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(
-            model.snapshot().expect("toy snapshots"),
-        )));
+        let initial = ModelSnapshot::initial(model.snapshot().expect("toy snapshots"));
+        let service = Fleet::single(Arc::new(initial), None, FleetConfig {
+            workers: 2,
+            per_shard_queue: 256,
+            max_packed_batch: 16,
+            quantum: 16,
+            pack_linger: std::time::Duration::from_micros(50),
+            ..FleetConfig::default()
+        });
+        let cell = Arc::clone(service.cell(0).expect("the one shard"));
         let hook_cell = Arc::clone(&cell);
         let hook_committed = Arc::clone(&committed);
         let mut sup = Supervisor::new(SupervisorConfig::default()).with_commit_hook(Box::new(
@@ -158,13 +165,6 @@ proptest! {
             },
         ));
 
-        let service = EstimationService::start(Arc::clone(&cell), ServiceConfig {
-            workers: 2,
-            queue_capacity: 256,
-            max_batch: 16,
-            batch_linger: std::time::Duration::from_micros(50),
-            ..ServiceConfig::default()
-        });
         let handle = service.handle();
         let stop = AtomicBool::new(false);
 
@@ -178,7 +178,7 @@ proptest! {
                 s.spawn(move || {
                     let mut seen = 0u32;
                     while !stop.load(Ordering::Relaxed) || seen == 0 {
-                        match h.estimate(PROBE.to_vec()) {
+                        match h.estimate(0, PROBE.to_vec()) {
                             Ok(est) => {
                                 seen += 1;
                                 let ok = committed
@@ -229,7 +229,7 @@ proptest! {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        let stats = service.shutdown();
+        let (stats, _, _) = service.shutdown();
 
         // Exactly one generation per commit; rollbacks published nothing.
         prop_assert_eq!(cell.version(), expected_commits as u64);

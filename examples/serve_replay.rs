@@ -64,12 +64,12 @@ fn main() {
         rep.shed,
         rep.errors,
         rep.throughput_qps,
-        rep.service.mean_batch()
+        rep.fleet.mean_gemm_batch()
     );
     println!("latency: p50 {p50:.0}us  p95 {p95:.0}us  p99 {p99:.0}us  max {max:.0}us");
 
     // 4. Adaptation behavior: generations hot-swapped behind live traffic.
-    let adapt = rep.adapt.expect("background mode reports stats");
+    let (_, adapt) = rep.adapt[0];
     println!(
         "adaptation: {} invocations, {} commits, {} rollbacks -> {} generations \
          published (max staleness {})",

@@ -8,19 +8,23 @@
 //! warper serve   --dataset prsa --mix w1 --queries 1000 --clients 4 \
 //!                [--drift-at N] [--new w4] [--sync] [--smoke] [--seed S] \
 //!                [--precision f64|f32|int8] [--state-dir DIR] \
-//!                [--checkpoint-every N]
-//! warper serve   --shards 128 [--zipf 1.1] [--adapt-shards K] \
-//!                [--workers N] [--no-pack] [--state-dir DIR] [--smoke]
+//!                [--checkpoint-every N] \
+//!                [--shards 128 [--zipf 1.1] [--adapt-shards K] \
+//!                 [--workers N] [--no-pack]]
 //! warper serve   --listen 127.0.0.1:7071 [--state-dir DIR] [--duration S]
 //! warper serve   --listen 127.0.0.1:7071 --shards 128 [--duration S]
 //! warper serve   --standby-of 127.0.0.1:7071 [--listen ADDR] \
 //!                [--state-dir DIR] [--duration S]
-//! warper loadgen --dataset prsa --queries 2000 [--rate QPS] [--seed S]
-//! warper loadgen --tenants 128 [--zipf 1.1] [--queries N] [--clients N]
+//! warper loadgen --dataset prsa --queries 2000 [--rate QPS] [--seed S] \
+//!                [--tenants 128 [--zipf 1.1]] [--clients N]
 //! warper loadgen --connect 127.0.0.1:7071[,ADDR2] --queries 2000 \
 //!                [--clients N] [--tenants 128] [--zipf 1.1] [--seed S]
 //! warper datasets
 //! ```
+//!
+//! `serve` and `loadgen` without `--listen`/`--connect` are one in-process
+//! replay of one fleet (`serve` adapts and spot-checks accuracy, `loadgen`
+//! measures the frozen model); a single-table run is its one-shard case.
 //!
 //! Argument parsing is hand-rolled (this workspace takes no CLI
 //! dependencies); every flag has a sane default, so `warper adapt` alone
@@ -28,6 +32,8 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,18 +48,30 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    match cmd.as_str() {
+    // Every command reports what it could not parse or run, then yields
+    // `None`.
+    let done = match cmd.as_str() {
         "adapt" => cmd_adapt(&flags),
         "gamma" => cmd_gamma(&flags),
         "gaps" => cmd_gaps(&flags),
-        "serve" => cmd_serve(&flags),
-        "loadgen" => cmd_loadgen(&flags),
+        // Dispatch: `--standby-of` wins (a standby may also `--listen`),
+        // then `--listen` starts a networked node (`--shards` makes it a
+        // fleet); everything else is the in-process replay.
+        "serve" if flags.contains_key("standby-of") => cmd_serve_standby(&flags),
+        "serve" if flags.contains_key("listen") && flags.contains_key("shards") => {
+            cmd_serve_fleet_net(&flags)
+        }
+        "serve" if flags.contains_key("listen") => cmd_serve_primary(&flags),
+        "serve" => cmd_replay(&flags, true),
+        "loadgen" if flags.contains_key("connect") => cmd_loadgen_net(&flags),
+        "loadgen" => cmd_replay(&flags, false),
         "datasets" => cmd_datasets(),
         _ => {
             eprintln!("unknown command {cmd:?}\n{USAGE}");
-            ExitCode::FAILURE
+            None
         }
-    }
+    };
+    done.unwrap_or(ExitCode::FAILURE)
 }
 
 const USAGE: &str = "usage:
@@ -67,15 +85,16 @@ const USAGE: &str = "usage:
                  [--clients N] [--drift-at N] [--new w4 | --data-drift]
                  [--sync] [--invoke-every N] [--smoke] [--rows N] [--seed S]
                  [--precision f64|f32|int8] [--state-dir DIR]
-                 [--checkpoint-every N]
-  warper serve   --shards N [--zipf S] [--adapt-shards K] [--drift-shards D]
-                 [--annotation-budget B] [--workers N] [--no-pack]
-                 [--queries N] [--clients N] [--state-dir DIR]
-                 [--checkpoint-every N] [--smoke] [--seed S]
-                   multi-tenant fleet: one shard per (tenant, table), shared
-                   worker pool, cross-shard batch packing; the first D
-                   adapting shards drift pre-serving and B annotations are
-                   granted worst-drift-first from the merged sketches
+                 [--checkpoint-every N] [--workers N] [--no-pack]
+                 [--shards N [--zipf S] [--adapt-shards K] [--drift-shards D]
+                  [--annotation-budget B]]
+                   in-process replay of one fleet while it adapts. A single
+                   table is the one-shard fleet (the default; it adapts).
+                   --shards N: one shard per (tenant, table), shared worker
+                   pool, cross-shard batch packing; the first K shards
+                   adapt (default 0), the first D of those drift
+                   pre-serving and B annotations are granted
+                   worst-drift-first from the merged sketches
   warper serve   --listen ADDR [--state-dir DIR] [--duration SECS]
                  [--dataset ...] [--mix w1] [--rows N] [--seed S]
                    networked primary: replicated durability + TCP front-end
@@ -87,9 +106,11 @@ const USAGE: &str = "usage:
                    warm standby: replicates, promotes when the primary dies
   warper loadgen [--dataset prsa|poker|higgs] [--mix w1] [--queries N]
                  [--clients N] [--rate QPS] [--batch N] [--rows N] [--seed S]
-                 [--precision f64|f32|int8]
-  warper loadgen --tenants N [--zipf S] [--queries N] [--clients N]
-                   Zipf-skewed multi-tenant load against an in-process fleet
+                 [--precision f64|f32|int8] [--tenants N [--zipf S]]
+                   the same replay against the frozen model: no adaptation
+                   unless --adapt-shards, no spot checks; --tenants N is
+                   Zipf-skewed multi-tenant load, --batch N caps a shard's
+                   batch (max_packed_batch = quantum = N)
   warper loadgen --connect ADDR[,ADDR2...] [--queries N] [--clients N]
                  [--tenants N] [--zipf S] [--dataset ...] [--mix w1]
                  [--rows N] [--seed S]
@@ -122,86 +143,69 @@ fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
     Some((cmd, flags))
 }
 
-fn dataset_of(flags: &HashMap<String, String>) -> Option<DatasetKind> {
+type Flags = HashMap<String, String>;
+
+/// Prints `msg` and fails the command.
+fn fail<T>(msg: impl std::fmt::Display) -> Option<T> {
+    eprintln!("{msg}");
+    None
+}
+
+fn dataset_of(flags: &Flags) -> Option<DatasetKind> {
     match flags.get("dataset").map(String::as_str).unwrap_or("prsa") {
         "prsa" => Some(DatasetKind::Prsa),
         "poker" => Some(DatasetKind::Poker),
         "higgs" => Some(DatasetKind::Higgs),
-        other => {
-            eprintln!("unknown dataset {other:?} (prsa|poker|higgs)");
-            None
-        }
+        other => fail(format!("unknown dataset {other:?} (prsa|poker|higgs)")),
     }
 }
 
 /// Parses `--precision` (default f32 — the gated SIMD serving path).
-fn precision_of(flags: &HashMap<String, String>) -> Option<warper_repro::serve::Precision> {
+fn precision_of(flags: &Flags) -> Option<warper_repro::serve::Precision> {
     match flags.get("precision") {
         None => Some(warper_repro::serve::Precision::F32),
-        Some(v) => match v.parse() {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("{e}");
-                None
-            }
-        },
+        Some(v) => v.parse().map_err(|e| eprintln!("{e}")).ok(),
     }
 }
 
-fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> Option<T> {
+fn num<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Option<T> {
     match flags.get(key) {
         None => Some(default),
         Some(v) => match v.parse() {
             Ok(x) => Some(x),
-            Err(_) => {
-                eprintln!("--{key} expects a number, got {v:?}");
-                None
-            }
+            Err(_) => fail(format!("--{key} expects a number, got {v:?}")),
         },
     }
 }
 
-fn cmd_adapt(flags: &HashMap<String, String>) -> ExitCode {
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows()) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
-    let model = match flags.get("model").map(String::as_str).unwrap_or("lm-mlp") {
+fn text(flags: &Flags, key: &str, default: &str) -> String {
+    flags.get(key).cloned().unwrap_or_else(|| default.into())
+}
+
+fn cmd_adapt(flags: &Flags) -> Option<ExitCode> {
+    let kind = dataset_of(flags)?;
+    let rows = num(flags, "rows", kind.default_rows())?;
+    let seed = num(flags, "seed", 7u64)?;
+    let model = match text(flags, "model", "lm-mlp").as_str() {
         "lm-mlp" => ModelKind::LmMlp,
         "lm-gbt" => ModelKind::LmGbt,
         "lm-ply" => ModelKind::LmPly,
         "lm-rbf" => ModelKind::LmRbf,
         "mscn" => ModelKind::Mscn,
-        other => {
-            eprintln!("unknown model {other:?}");
-            return ExitCode::FAILURE;
-        }
+        other => return fail(format!("unknown model {other:?}")),
     };
-    let strategy = match flags
-        .get("strategy")
-        .map(String::as_str)
-        .unwrap_or("warper")
-    {
+    let strategy = match text(flags, "strategy", "warper").as_str() {
         "ft" => StrategyKind::Ft,
         "mix" => StrategyKind::Mix,
         "aug" => StrategyKind::Aug,
         "hem" => StrategyKind::Hem,
         "warper" => StrategyKind::Warper,
-        other => {
-            eprintln!("unknown strategy {other:?}");
-            return ExitCode::FAILURE;
-        }
+        other => return fail(format!("unknown strategy {other:?}")),
     };
-    let train = flags.get("train").cloned().unwrap_or_else(|| "w12".into());
-    let new = flags.get("new").cloned().unwrap_or_else(|| "w345".into());
+    let train = text(flags, "train", "w12");
+    let new = text(flags, "new", "w345");
     if Mix::parse(&train).is_none() || Mix::parse(&new).is_none() {
-        eprintln!("workloads must be w-notation mixtures like w12 or w345");
-        return ExitCode::FAILURE;
+        return fail("workloads must be w-notation mixtures like w12 or w345");
     }
 
     let table = generate(kind, rows, seed);
@@ -221,22 +225,15 @@ fn cmd_adapt(flags: &HashMap<String, String>) -> ExitCode {
         strategy.name()
     );
 
-    let res = match run_single_table(&table, &setup, model, strategy, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let run = |strategy, what: &str| {
+        run_single_table(&table, &setup, model, strategy, &cfg)
+            .map_err(|e| eprintln!("{what} failed: {e}"))
+            .ok()
     };
+    let res = run(strategy, "run")?;
     print_run(&res);
     if flags.contains_key("compare-ft") && strategy != StrategyKind::Ft {
-        let ft = match run_single_table(&table, &setup, model, StrategyKind::Ft, &cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("FT comparison run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let ft = run(StrategyKind::Ft, "FT comparison run")?;
         print_run(&ft);
         let alpha = ft.curve.initial_gmq().unwrap_or(1.0);
         let beta = ft
@@ -250,7 +247,7 @@ fn cmd_adapt(flags: &HashMap<String, String>) -> ExitCode {
             s.d05, s.d08, s.d10
         );
     }
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
 fn print_run(res: &RunResult) {
@@ -271,32 +268,24 @@ fn print_run(res: &RunResult) {
     );
 }
 
-fn cmd_gamma(flags: &HashMap<String, String>) -> ExitCode {
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows()) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
+fn cmd_gamma(flags: &Flags) -> Option<ExitCode> {
+    let kind = dataset_of(flags)?;
+    let rows = num(flags, "rows", kind.default_rows())?;
+    let seed = num(flags, "seed", 7u64)?;
 
     let table = generate(kind, rows, seed);
     let f = Featurizer::from_table(&table);
     let a = Annotator::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut gen = QueryGenerator::from_notation(&table, "w12");
-    let corpus: Vec<LabeledExample> = gen
-        .generate_many(1600, &mut rng)
-        .iter()
-        .map(|p| LabeledExample::new(f.featurize(p), a.count(&table, p) as f64))
-        .collect();
-    let holdout: Vec<LabeledExample> = gen
-        .generate_many(200, &mut rng)
-        .iter()
-        .map(|p| LabeledExample::new(f.featurize(p), a.count(&table, p) as f64))
-        .collect();
+    let mut labelled = |n: usize| -> Vec<LabeledExample> {
+        gen.generate_many(n, &mut rng)
+            .iter()
+            .map(|p| LabeledExample::new(f.featurize(p), a.count(&table, p) as f64))
+            .collect()
+    };
+    let corpus = labelled(1600);
+    let holdout = labelled(200);
     let dim = f.dim();
     let est = estimate_gamma(
         &move || {
@@ -320,16 +309,12 @@ fn cmd_gamma(flags: &HashMap<String, String>) -> ExitCode {
         println!("  {:>5} training queries → GMQ {:.2}", p.train_size, p.gmq);
     }
     println!("estimated γ = {}", est.gamma);
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
-fn cmd_gaps(flags: &HashMap<String, String>) -> ExitCode {
-    let Some(orders) = num(flags, "orders", 20_000usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 9u64) else {
-        return ExitCode::FAILURE;
-    };
+fn cmd_gaps(flags: &Flags) -> Option<ExitCode> {
+    let orders = num(flags, "orders", 20_000usize)?;
+    let seed = num(flags, "seed", 9u64)?;
     let tables = generate_tpch(TpchScale { orders }, seed);
     let mut rng = StdRng::seed_from_u64(seed);
     println!("plan-choice latency gaps on TPC-H-like tables ({orders} orders):");
@@ -343,240 +328,52 @@ fn cmd_gaps(flags: &HashMap<String, String>) -> ExitCode {
             .fold(0.0, f64::max);
         println!("  {:<22} {gap:.1}x", scenario.name());
     }
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
-/// Shared replay-report printer for `serve` / `loadgen`.
+/// The table every serving command builds: `--dataset`, `--rows` (capped
+/// default — serving runs are about the service, not the scan) and `--seed`.
+fn table_of(flags: &Flags) -> Option<(DatasetKind, usize, u64, Table)> {
+    let kind = dataset_of(flags)?;
+    let rows = num(flags, "rows", kind.default_rows().min(10_000))?;
+    let seed = num(flags, "seed", 7u64)?;
+    Some((kind, rows, seed, generate(kind, rows, seed)))
+}
+
+/// The fleet shape flags: `--workers`, `--no-pack`.
+fn fleet_of(flags: &Flags) -> Option<warper_repro::serve::FleetConfig> {
+    let default = warper_repro::serve::FleetConfig::default();
+    Some(warper_repro::serve::FleetConfig {
+        workers: num(flags, "workers", default.workers)?,
+        packing: !flags.contains_key("no-pack"),
+        ..default
+    })
+}
+
+/// Sleeps in one-second ticks until `--duration` seconds passed (forever
+/// when 0), calling `tick` after each.
+fn run_for(duration: u64, mut tick: impl FnMut()) {
+    let t0 = Instant::now();
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+        tick();
+        if duration > 0 && t0.elapsed().as_secs() >= duration {
+            return;
+        }
+    }
+}
+
+/// The replay-report printer for `serve` / `loadgen`: aggregate throughput,
+/// split shed counters (admission vs deadline), packing efficiency, a
+/// per-shard hot-spot table when there is more than one shard, and what the
+/// adapting shards did.
 fn print_replay(rep: &warper_repro::serve::ReplayReport) {
-    let (p50, p95, p99, max) = rep.latency.summary_scaled(1_000.0);
-    println!(
-        "served={} shed={} errors={} throughput={:.0} qps  mean_batch={:.1}",
-        rep.served,
-        rep.shed,
-        rep.errors,
-        rep.throughput_qps,
-        rep.service.mean_batch()
-    );
-    println!("latency µs: p50={p50:.0} p95={p95:.0} p99={p99:.0} max={max:.0}");
-    println!(
-        "generations={} max_staleness={} precision={}",
-        rep.generations_published, rep.max_staleness, rep.precision
-    );
-    if let Some(g) = rep.spot_gmq_pre {
-        println!("spot GMQ pre-drift:  {g:.2}");
-    }
-    if let Some(g) = rep.spot_gmq_post {
-        println!("spot GMQ post-drift: {g:.2}");
-    }
-    if let Some(a) = &rep.adapt {
-        println!(
-            "adaptation: invocations={} commits={} rollbacks={} published={} \
-             quant_refusals={} annotated={} generated={} ({:.1}s)",
-            a.invocations,
-            a.commits,
-            a.rollbacks,
-            a.published,
-            a.quant_refusals,
-            a.annotated,
-            a.generated,
-            a.adapt_secs
-        );
-    }
-    if let Some(d) = &rep.durability {
-        if d.resumed {
-            println!(
-                "durability: resumed from checkpoint {} (+{} WAL labels{}) in {:.3}s, \
-                 pool={} restored",
-                d.resumed_from_seq,
-                d.wal_records_replayed,
-                if d.wal_truncated {
-                    ", corrupt tail truncated"
-                } else {
-                    ""
-                },
-                d.recovery_secs,
-                d.restored_pool_len,
-            );
-        } else {
-            println!("durability: fresh state directory");
-        }
-        println!(
-            "durability: checkpoints={} (failures={}, {:.3}s) wal_appends={} \
-             (failures={}, {:.3}s) final_seq={}",
-            d.checkpoints,
-            d.checkpoint_failures,
-            d.checkpoint_secs,
-            d.wal_appends,
-            d.wal_append_failures,
-            d.wal_secs,
-            d.final_seq,
-        );
-    }
-    println!("estimates checksum: {:016x}", rep.estimates_checksum);
-}
-
-/// Opens `--state-dir` as a [`StdVfs`], or a fresh in-memory Vfs when the
-/// flag is absent (ephemeral node).
-fn vfs_of(
-    flags: &HashMap<String, String>,
-) -> Option<std::sync::Arc<dyn warper_repro::durable::Vfs>> {
-    use warper_repro::durable::{MemVfs, StdVfs};
-    match flags.get("state-dir") {
-        None => Some(std::sync::Arc::new(MemVfs::new())),
-        Some(dir) => match StdVfs::open(dir) {
-            Ok(vfs) => Some(std::sync::Arc::new(vfs)),
-            Err(e) => {
-                eprintln!("cannot open state dir {dir:?}: {e}");
-                None
-            }
-        },
-    }
-}
-
-/// `warper serve --listen ADDR`: a networked primary — trained model,
-/// background adaptation, replicated durable store, TCP front-end.
-fn cmd_serve_primary(flags: &HashMap<String, String>) -> ExitCode {
-    use warper_repro::durable::DurabilityConfig;
-    use warper_repro::serve::net::{PrimaryNode, PrimarySpec};
-
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows().min(10_000)) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(duration) = num(flags, "duration", 0u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(checkpoint_every) = num(flags, "checkpoint-every", 4usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(vfs) = vfs_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let listen = flags.get("listen").cloned().unwrap_or_default();
-    let mix = flags.get("mix").cloned().unwrap_or_else(|| "w1".into());
-
-    let table = generate(kind, rows, seed);
-    let spec = PrimarySpec {
-        mix,
-        seed,
-        durability: DurabilityConfig { checkpoint_every },
-        ..Default::default()
-    };
-    let node = match PrimaryNode::start(&table, vfs, &listen, spec) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("primary failed to start: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "primary serving {} ({rows} rows) on {}",
-        kind.name(),
-        node.addr()
-    );
-    let t0 = std::time::Instant::now();
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(1));
-        let lag = node.lag();
-        if lag.published > 0 {
-            println!(
-                "repl: published={} acked={} ops_behind={} secs_behind={:.3}",
-                lag.published, lag.acked, lag.ops_behind, lag.secs_behind
-            );
-        }
-        if duration > 0 && t0.elapsed().as_secs() >= duration {
-            break;
-        }
-    }
-    let rep = node.shutdown();
-    println!(
-        "primary done: {} requests, {} ok, {} shed, {} deadline trips; \
-         replicated {} mutations ({} acked)",
-        rep.net.requests,
-        rep.net.responses_ok,
-        rep.net.shed,
-        rep.net.deadline_trips,
-        rep.repl.published,
-        rep.repl.acked
-    );
-    ExitCode::SUCCESS
-}
-
-/// `warper serve --standby-of ADDR`: a warm standby that replicates the
-/// primary's durable state and promotes itself when the link is lost.
-fn cmd_serve_standby(flags: &HashMap<String, String>) -> ExitCode {
-    use warper_repro::serve::net::{StandbyConfig, StandbyNode};
-
-    let Some(duration) = num(flags, "duration", 0u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(vfs) = vfs_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let primary = flags.get("standby-of").cloned().unwrap_or_default();
-    let listen = flags
-        .get("listen")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:0".into());
-    let cfg = StandbyConfig {
-        auto_promote: !flags.contains_key("no-auto-promote"),
-        ..Default::default()
-    };
-    let node = match StandbyNode::start(vfs, &listen, primary.clone(), cfg) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("standby failed to start: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("standby of {primary} listening on {}", node.addr());
-    let t0 = std::time::Instant::now();
-    let mut was_promoted = false;
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(1));
-        let st = node.state();
-        println!(
-            "standby: watermark={} validated_seq={} snapshots={} wal_frames={} rejected={}",
-            st.watermark,
-            st.validated_seq,
-            st.stats.snapshots_applied,
-            st.stats.wal_frames_applied,
-            st.stats.rejected_ops
-        );
-        if node.promoted() && !was_promoted {
-            was_promoted = true;
-            println!("PROMOTED: serving on {}", node.addr());
-        }
-        if duration > 0 && t0.elapsed().as_secs() >= duration {
-            break;
-        }
-    }
-    let rep = node.shutdown();
-    println!(
-        "standby done: applied {} snapshots + {} wal frames (rejected {}), promoted={}",
-        rep.state.stats.snapshots_applied,
-        rep.state.stats.wal_frames_applied,
-        rep.state.stats.rejected_ops,
-        rep.state.promoted_generation.is_some()
-    );
-    ExitCode::SUCCESS
-}
-
-/// Fleet replay-report printer for `serve --shards` / `loadgen --tenants`:
-/// aggregate throughput, split shed counters (admission vs deadline),
-/// packing efficiency, and a per-shard hot-spot table.
-fn print_fleet(rep: &warper_repro::serve::FleetReport) {
     let f = &rep.fleet;
     let (p50, p95, p99, max) = rep.latency.summary_scaled(1_000.0);
     println!(
         "shards={} served={} shed={} deadline_shed={} rejected={} errors={} \
          throughput={:.0} qps ({:.1}s)",
-        rep.shards,
+        rep.per_shard.len(),
         rep.served,
         f.shed,
         f.shed_deadline,
@@ -596,47 +393,50 @@ fn print_fleet(rep: &warper_repro::serve::FleetReport) {
         f.pack_efficiency(),
         f.deadline_trips
     );
-    let mut hot: Vec<(usize, &warper_repro::serve::ShardReport)> =
-        rep.per_shard.iter().enumerate().collect();
-    hot.sort_by(|a, b| b.1.stats.served.cmp(&a.1.stats.served).then(a.0.cmp(&b.0)));
-    println!("hottest shards (of {}):", rep.per_shard.len());
-    for (id, s) in hot.iter().take(8) {
-        println!(
-            "  #{id:<4} {:<20} served={:<6} shed={} deadline_shed={} qps={:.0} \
-             mean_sub_batch={:.1} gen={}",
-            s.key.to_string(),
-            s.stats.served,
-            s.stats.shed,
-            s.stats.shed_deadline,
-            s.qps,
-            s.stats.mean_sub_batch(),
-            s.stats.generation
-        );
+    println!(
+        "generations={} max_staleness={} precision={}",
+        rep.generations_published, rep.max_staleness, rep.precision
+    );
+    if rep.per_shard.len() > 1 {
+        let mut hot: Vec<_> = rep.per_shard.iter().enumerate().collect();
+        hot.sort_by(|a, b| b.1.stats.served.cmp(&a.1.stats.served).then(a.0.cmp(&b.0)));
+        println!("hottest shards (of {}):", rep.per_shard.len());
+        for (id, s) in hot.iter().take(8) {
+            println!(
+                "  #{id:<4} {:<20} served={:<6} shed={} deadline_shed={} qps={:.0} \
+                 mean_sub_batch={:.1} gen={}",
+                s.key.to_string(),
+                s.stats.served,
+                s.stats.shed,
+                s.stats.shed_deadline,
+                s.qps,
+                s.stats.mean_sub_batch(),
+                s.stats.generation
+            );
+        }
     }
     for (id, a) in &rep.adapt {
         println!(
-            "shard #{id} adaptation: invocations={} commits={} rollbacks={} \
-             published={} annotated={} generated={} ({:.1}s)",
+            "shard #{id} adaptation: invocations={} commits={} rollbacks={} published={} \
+             quant_refusals={} annotated={} generated={} ({:.1}s)",
             a.invocations,
             a.commits,
             a.rollbacks,
             a.published,
+            a.quant_refusals,
             a.annotated,
             a.generated,
             a.adapt_secs
         );
     }
-    if !rep.drift.is_empty() {
+    if rep.drift.iter().any(|d| d.score > 0.0) || !rep.annotation_grants.is_empty() {
         println!("shard drift (sketch-ranked, worst first):");
-        let grant_of = |shard: u32| {
-            rep.annotation_grants
-                .iter()
-                .find(|&&(id, _)| id == shard)
-                .map(|&(_, g)| g)
-        };
         for d in &rep.drift {
-            let grant = grant_of(d.shard)
-                .map(|g| format!(" grant={g}"))
+            let grant = rep
+                .annotation_grants
+                .iter()
+                .find(|&&(id, _)| id == d.shard)
+                .map(|&(_, g)| format!(" grant={g}"))
                 .unwrap_or_default();
             println!(
                 "  #{:<4} score={:.3} changed={:.3} distinct_shift={:.3} hh_churn={:.3}{}",
@@ -645,92 +445,99 @@ fn print_fleet(rep: &warper_repro::serve::FleetReport) {
         }
     }
     for (id, d) in &rep.durability {
+        let resumed = match d.resumed {
+            true => format!(
+                "resumed from checkpoint {} (+{} WAL labels{}, {:.3}s, pool={})",
+                d.resumed_from_seq,
+                d.wal_records_replayed,
+                if d.wal_truncated {
+                    ", corrupt tail truncated"
+                } else {
+                    ""
+                },
+                d.recovery_secs,
+                d.restored_pool_len,
+            ),
+            false => "fresh state directory".into(),
+        };
         println!(
-            "shard #{id} durability: resumed={} checkpoints={} wal_appends={} final_seq={}",
-            d.resumed, d.checkpoints, d.wal_appends, d.final_seq
+            "shard #{id} durability: {resumed}; checkpoints={} (failures={}, {:.3}s) \
+             wal_appends={} (failures={}, {:.3}s) final_seq={}",
+            d.checkpoints,
+            d.checkpoint_failures,
+            d.checkpoint_secs,
+            d.wal_appends,
+            d.wal_append_failures,
+            d.wal_secs,
+            d.final_seq,
         );
     }
-    if let Some(g) = rep.spot_gmq {
-        println!("spot GMQ: {g:.2}");
+    if let Some(g) = rep.spot_gmq_pre {
+        println!("spot GMQ pre-drift:  {g:.2}");
+    }
+    if let Some(g) = rep.spot_gmq_post {
+        println!("spot GMQ post-drift: {g:.2}");
     }
     println!("estimates checksum: {:016x}", rep.estimates_checksum);
 }
 
-/// In-process multi-tenant fleet replay. `serve --shards N` and
-/// `loadgen --tenants N` both land here — the flag name differs, the
-/// harness does not (`shards_key` selects which one carries the count).
-fn cmd_fleet_replay(flags: &HashMap<String, String>, shards_key: &str) -> ExitCode {
-    use std::sync::Arc;
-
+/// `warper serve` / `warper loadgen` in process: one replay of one fleet.
+/// `serving` picks the defaults that differ — `serve` adapts its single
+/// table and spot-checks accuracy, `loadgen` replays against the frozen
+/// model — and which flag carries the shard count (`--shards` vs
+/// `--tenants`).
+fn cmd_replay(flags: &Flags, serving: bool) -> Option<ExitCode> {
     use warper_repro::durable::{DurabilityConfig, StdVfs, Vfs};
-    use warper_repro::serve::{run_fleet_replay, FleetConfig, FleetDurable, FleetReplaySpec};
+    use warper_repro::serve::{
+        run_replay, AdaptConfig, AdaptMode, DriftEvent, DriftKind, DurableReplay, ReplaySpec,
+        ShardKey,
+    };
+    use warper_repro::warper::supervisor::SupervisorConfig;
 
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows().min(10_000)) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(shards) = num(flags, shards_key, 8usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(zipf_s) = num(flags, "zipf", 1.1f64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(adapt_shards) = num(flags, "adapt-shards", 0usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(drift_shards) = num(flags, "drift-shards", 0usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(annotation_budget) = num(flags, "annotation-budget", 0usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(queries) = num(flags, "queries", 2_000usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(clients) = num(flags, "clients", 4usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(checkpoint_every) = num(flags, "checkpoint-every", 4usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(precision) = precision_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let default_fleet = FleetConfig::default();
-    let Some(workers) = num(flags, "workers", default_fleet.workers) else {
-        return ExitCode::FAILURE;
-    };
-    let mix = flags.get("mix").cloned().unwrap_or_else(|| "w1".into());
+    let shards_key = if serving { "shards" } else { "tenants" };
+    let sharded = flags.contains_key(shards_key);
+    let single_service = serving && !sharded;
+    let shards = num(flags, shards_key, 1usize)?;
+    let queries = num(
+        flags,
+        "queries",
+        if single_service { 1_000 } else { 2_000usize },
+    )?;
+    let clients = num(flags, "clients", 4usize)?;
+    let invoke_every = num(flags, "invoke-every", 100usize)?;
+    let drift_at = num(flags, "drift-at", 0usize)?;
+    let rate = num(flags, "rate", 0.0f64)?;
+    let checkpoint_every = num(flags, "checkpoint-every", 4usize)?;
+    let mut fleet = fleet_of(flags)?;
+    if flags.contains_key("batch") {
+        fleet.max_packed_batch = num(flags, "batch", fleet.max_packed_batch)?;
+        fleet.quantum = fleet.max_packed_batch;
+    }
+    let sync = flags.contains_key("sync");
 
     // Per-shard durable lineages live under `state_dir/{shard-tenant-table}`
-    // ([`StdVfs::open`] creates the subdirectory).
-    let durable = flags.get("state-dir").cloned().map(|dir| FleetDurable {
+    // ([`StdVfs::open`] creates the subdirectory); the single table's
+    // lineage is the state directory itself.
+    let durable = flags.get("state-dir").cloned().map(|dir| DurableReplay {
         cfg: DurabilityConfig { checkpoint_every },
-        vfs_for: Box::new(move |key: &warper_repro::serve::ShardKey| {
-            StdVfs::open(format!("{dir}/{}", key.dir_name())).map(|v| Arc::new(v) as Arc<dyn Vfs>)
+        vfs_for: Box::new(move |key: &ShardKey| {
+            let dir = match sharded {
+                true => format!("{dir}/{}", key.dir_name()),
+                false => dir.clone(),
+            };
+            StdVfs::open(dir).map(|v| Arc::new(v) as Arc<dyn Vfs>)
         }),
     });
-    let spec = FleetReplaySpec {
-        shards,
-        zipf_s,
-        adapt_shards,
-        drift_shards,
-        annotation_budget,
-        mix,
+    let spec = ReplaySpec {
+        mix: text(flags, "mix", "w1"),
+        n_train: 400,
         n_queries: queries,
         clients,
-        fleet: FleetConfig {
-            workers,
-            packing: !flags.contains_key("no-pack"),
-            ..default_fleet
-        },
-        // Serving-scale controller, as in `cmd_serve`: small modules keep
-        // per-shard retraining steps short.
+        shards,
+        zipf_s: num(flags, "zipf", 1.1f64)?,
+        fleet,
+        // Serving-scale controller: small modules keep per-shard retraining
+        // steps short.
         warper: WarperConfig {
             embed_dim: 8,
             hidden: 32,
@@ -740,35 +547,73 @@ fn cmd_fleet_replay(flags: &HashMap<String, String>, shards_key: &str) -> ExitCo
             n_p: 60,
             ..Default::default()
         },
-        seed,
-        precision,
+        adapt: if sync {
+            AdaptMode::Synchronous {
+                supervisor: SupervisorConfig::default(),
+                invoke_every,
+            }
+        } else {
+            AdaptMode::Background(AdaptConfig {
+                invoke_every,
+                ..Default::default()
+            })
+        },
+        adapt_shards: num(flags, "adapt-shards", usize::from(single_service))?,
+        drift: (drift_at > 0).then(|| DriftEvent {
+            at_query: drift_at,
+            kind: if flags.contains_key("data-drift") {
+                DriftKind::Data(DataDriftKind::SortTruncate { col: 1 })
+            } else {
+                DriftKind::Workload {
+                    new_mix: text(flags, "new", "w4"),
+                }
+            },
+        }),
+        drift_shards: num(flags, "drift-shards", 0usize)?,
+        annotation_budget: num(flags, "annotation-budget", 0usize)?,
+        seed: num(flags, "seed", 7u64)?,
+        pace: (rate > 0.0).then(|| ArrivalProcess {
+            rate_per_sec: rate,
+            period_secs: queries as f64 / rate,
+        }),
+        spot_checks: if serving { 25 } else { 0 },
         durable,
+        precision: precision_of(flags)?,
         ..Default::default()
     };
 
+    let (kind, rows, _, table) = table_of(flags)?;
     println!(
-        "{} ({rows} rows), {queries} queries over {shards} shards \
-         (zipf s={zipf_s}, {clients} clients, {workers} workers, packing {})",
+        "{} ({rows} rows), {queries} queries over {shards} shards (zipf s={}, {clients} clients{}, \
+         {} workers, packing {}), {} adapting ({})",
         kind.name(),
-        if spec.fleet.packing { "on" } else { "off" },
+        spec.zipf_s,
+        if rate > 0.0 {
+            format!(" at {rate} qps")
+        } else {
+            " closed loop".into()
+        },
+        fleet.workers,
+        if fleet.packing { "on" } else { "off" },
+        spec.adapt_shards.min(shards),
+        if sync { "synchronous" } else { "background" },
     );
-    let table = generate(kind, rows, seed);
-    let rep = match run_fleet_replay(&table, &spec) {
+    let rep = match run_replay(&table, &spec) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleet replay failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("replay failed: {e}")),
     };
-    print_fleet(&rep);
+    print_replay(&rep);
 
     if flags.contains_key("smoke") {
         // CI smoke gate: every request answered (no admission or deadline
-        // sheds at this load), nothing errored, and packing actually packed.
+        // sheds at this load), nothing errored, tail latency within a
+        // generous bound, adaptation ran if it was asked for, and packing
+        // actually packed.
         let f = &rep.fleet;
+        let (_, _, p99, _) = rep.latency.summary_scaled(1_000.0);
         let mut failures = Vec::new();
         if rep.errors != 0 {
-            failures.push(format!("{} fleet errors", rep.errors));
+            failures.push(format!("{} serve errors", rep.errors));
         }
         if f.shed != 0 {
             failures.push(format!("{} requests admission-shed at idle load", f.shed));
@@ -782,73 +627,157 @@ fn cmd_fleet_replay(flags: &HashMap<String, String>, shards_key: &str) -> ExitCo
         if rep.served != queries {
             failures.push(format!("served {}/{queries}", rep.served));
         }
-        if spec.fleet.packing && f.pack_efficiency() < 1.0 {
+        if p99 > 250_000.0 {
+            failures.push(format!("p99 {p99:.0}µs above generous 250ms bound"));
+        }
+        if !rep.adapt.is_empty() && rep.adapt.iter().all(|(_, a)| a.invocations == 0) {
+            failures.push("adaptation never ran".into());
+        }
+        if fleet.packing && f.pack_efficiency() < 1.0 {
             failures.push(format!(
                 "pack efficiency {:.2} below 1.0 with packing on",
                 f.pack_efficiency()
             ));
         }
         if !failures.is_empty() {
-            eprintln!("SMOKE FAILED: {}", failures.join("; "));
-            return ExitCode::FAILURE;
+            return fail(format!("SMOKE FAILED: {}", failures.join("; ")));
         }
         println!("smoke OK");
     }
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
+}
+
+/// Opens `--state-dir` as a [`StdVfs`], or a fresh in-memory Vfs when the
+/// flag is absent (ephemeral node).
+fn vfs_of(flags: &Flags) -> Option<Arc<dyn warper_repro::durable::Vfs>> {
+    use warper_repro::durable::{MemVfs, StdVfs};
+    match flags.get("state-dir") {
+        None => Some(Arc::new(MemVfs::new())),
+        Some(dir) => match StdVfs::open(dir) {
+            Ok(vfs) => Some(Arc::new(vfs)),
+            Err(e) => fail(format!("cannot open state dir {dir:?}: {e}")),
+        },
+    }
+}
+
+/// `warper serve --listen ADDR`: a networked primary — trained model,
+/// background adaptation, replicated durable store, TCP front-end.
+fn cmd_serve_primary(flags: &Flags) -> Option<ExitCode> {
+    use warper_repro::durable::DurabilityConfig;
+    use warper_repro::serve::net::{PrimaryNode, PrimarySpec};
+
+    let duration = num(flags, "duration", 0u64)?;
+    let checkpoint_every = num(flags, "checkpoint-every", 4usize)?;
+    let vfs = vfs_of(flags)?;
+    let (kind, rows, seed, table) = table_of(flags)?;
+    let spec = PrimarySpec {
+        mix: text(flags, "mix", "w1"),
+        seed,
+        durability: DurabilityConfig { checkpoint_every },
+        ..Default::default()
+    };
+    let node = match PrimaryNode::start(&table, vfs, &text(flags, "listen", ""), spec) {
+        Ok(n) => n,
+        Err(e) => return fail(format!("primary failed to start: {e}")),
+    };
+    println!(
+        "primary serving {} ({rows} rows) on {}",
+        kind.name(),
+        node.addr()
+    );
+    run_for(duration, || {
+        let lag = node.lag();
+        if lag.published > 0 {
+            println!(
+                "repl: published={} acked={} ops_behind={} secs_behind={:.3}",
+                lag.published, lag.acked, lag.ops_behind, lag.secs_behind
+            );
+        }
+    });
+    let rep = node.shutdown();
+    println!(
+        "primary done: {} requests, {} ok, {} shed, {} deadline trips; \
+         replicated {} mutations ({} acked)",
+        rep.net.requests,
+        rep.net.responses_ok,
+        rep.net.shed,
+        rep.net.deadline_trips,
+        rep.repl.published,
+        rep.repl.acked
+    );
+    Some(ExitCode::SUCCESS)
+}
+
+/// `warper serve --standby-of ADDR`: a warm standby that replicates the
+/// primary's durable state and promotes itself when the link is lost.
+fn cmd_serve_standby(flags: &Flags) -> Option<ExitCode> {
+    use warper_repro::serve::net::{StandbyConfig, StandbyNode};
+
+    let duration = num(flags, "duration", 0u64)?;
+    let vfs = vfs_of(flags)?;
+    let primary = text(flags, "standby-of", "");
+    let cfg = StandbyConfig {
+        auto_promote: !flags.contains_key("no-auto-promote"),
+        ..Default::default()
+    };
+    let listen = text(flags, "listen", "127.0.0.1:0");
+    let node = match StandbyNode::start(vfs, &listen, primary.clone(), cfg) {
+        Ok(n) => n,
+        Err(e) => return fail(format!("standby failed to start: {e}")),
+    };
+    println!("standby of {primary} listening on {}", node.addr());
+    let mut was_promoted = false;
+    run_for(duration, || {
+        let st = node.state();
+        println!(
+            "standby: watermark={} validated_seq={} snapshots={} wal_frames={} rejected={}",
+            st.watermark,
+            st.validated_seq,
+            st.stats.snapshots_applied,
+            st.stats.wal_frames_applied,
+            st.stats.rejected_ops
+        );
+        if node.promoted() && !was_promoted {
+            was_promoted = true;
+            println!("PROMOTED: serving on {}", node.addr());
+        }
+    });
+    let rep = node.shutdown();
+    println!(
+        "standby done: applied {} snapshots + {} wal frames (rejected {}), promoted={}",
+        rep.state.stats.snapshots_applied,
+        rep.state.stats.wal_frames_applied,
+        rep.state.stats.rejected_ops,
+        rep.state.promoted_generation.is_some()
+    );
+    Some(ExitCode::SUCCESS)
 }
 
 /// `warper serve --listen ADDR --shards N`: a networked fleet — N shards
 /// sharing one base snapshot behind a shard-routing TCP front-end
 /// (`EstimateReqShard` on the wire; plain v1 requests land on shard 0).
-fn cmd_serve_fleet_net(flags: &HashMap<String, String>) -> ExitCode {
-    use std::sync::Arc;
-
+fn cmd_serve_fleet_net(flags: &Flags) -> Option<ExitCode> {
     use warper_repro::serve::net::{NetServer, NetServerConfig, ServerCore};
-    use warper_repro::serve::{
-        prepare_serving_model, Fleet, FleetConfig, ModelSnapshot, ShardKey, ShardSpec,
-    };
+    use warper_repro::serve::{prepare_serving_model, Fleet, ModelSnapshot, ShardKey, ShardSpec};
 
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows().min(10_000)) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(duration) = num(flags, "duration", 0u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(shards) = num(flags, "shards", 8u32) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(precision) = precision_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let default_fleet = FleetConfig::default();
-    let Some(workers) = num(flags, "workers", default_fleet.workers) else {
-        return ExitCode::FAILURE;
-    };
-    let mix = flags.get("mix").cloned().unwrap_or_else(|| "w1".into());
-    let listen = flags.get("listen").cloned().unwrap_or_default();
-
-    let table = generate(kind, rows, seed);
+    let duration = num(flags, "duration", 0u64)?;
+    let shards = num(flags, "shards", 8u32)?;
+    let precision = precision_of(flags)?;
+    let fleet_cfg = fleet_of(flags)?;
+    let listen = text(flags, "listen", "");
+    let (kind, rows, seed, table) = table_of(flags)?;
+    let mix = text(flags, "mix", "w1");
     let prepared =
         match warper_repro::warper::prepare_single_table(&table, &mix, ModelKind::LmMlp, 400, seed)
         {
             Ok(p) => p,
-            Err(e) => {
-                eprintln!("training failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format!("training failed: {e}")),
         };
     let Some(serving) = prepared.model.snapshot() else {
-        eprintln!(
+        return fail(format!(
             "{} cannot snapshot; serving requires an immutable copy",
             prepared.model.name()
-        );
-        return ExitCode::FAILURE;
+        ));
     };
     let probe: Vec<&[f64]> = prepared
         .training_set
@@ -865,34 +794,18 @@ fn cmd_serve_fleet_net(flags: &HashMap<String, String>) -> ExitCode {
             adapt: None,
         })
         .collect();
-    let fleet = Fleet::start(
-        specs,
-        FleetConfig {
-            workers,
-            packing: !flags.contains_key("no-pack"),
-            ..default_fleet
-        },
-    );
+    let fleet = Fleet::start(specs, fleet_cfg);
     let core = ServerCore::new_fleet(fleet.handle(), true, None);
     let server = match NetServer::bind(&listen, core, NetServerConfig::default()) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("fleet server failed to bind {listen:?}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("fleet server failed to bind {listen:?}: {e}")),
     };
     println!(
         "fleet serving {shards} shards of {} ({rows} rows) on {}",
         kind.name(),
         server.local_addr()
     );
-    let t0 = std::time::Instant::now();
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(1));
-        if duration > 0 && t0.elapsed().as_secs() >= duration {
-            break;
-        }
-    }
+    run_for(duration, || {});
     let net = server.shutdown();
     let (stats, _, _) = fleet.shutdown();
     println!(
@@ -905,230 +818,40 @@ fn cmd_serve_fleet_net(flags: &HashMap<String, String>) -> ExitCode {
         stats.mean_gemm_batch(),
         stats.pack_efficiency()
     );
-    ExitCode::SUCCESS
-}
-
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
-    use std::sync::Arc;
-
-    use warper_repro::durable::{DurabilityConfig, StdVfs};
-    use warper_repro::serve::{
-        run_replay, AdaptConfig, AdaptMode, DriftEvent, DriftKind, DurableReplay, ReplaySpec,
-    };
-    use warper_repro::warper::supervisor::SupervisorConfig;
-
-    // Dispatch: `--standby-of` wins (a standby may also `--listen`), then
-    // `--listen` starts a networked node (`--shards` makes it a fleet),
-    // then `--shards` alone runs the in-process fleet replay; only a bare
-    // invocation falls through to the single-service replay harness.
-    if flags.contains_key("standby-of") {
-        return cmd_serve_standby(flags);
-    }
-    if flags.contains_key("listen") {
-        if flags.contains_key("shards") {
-            return cmd_serve_fleet_net(flags);
-        }
-        return cmd_serve_primary(flags);
-    }
-    if flags.contains_key("shards") {
-        return cmd_fleet_replay(flags, "shards");
-    }
-
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows().min(10_000)) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(queries) = num(flags, "queries", 1_000usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(clients) = num(flags, "clients", 4usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(invoke_every) = num(flags, "invoke-every", 100usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(precision) = precision_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let mix = flags.get("mix").cloned().unwrap_or_else(|| "w1".into());
-    let drift_at = match num(flags, "drift-at", 0usize) {
-        Some(n) => n,
-        None => return ExitCode::FAILURE,
-    };
-    let drift = (drift_at > 0).then(|| DriftEvent {
-        at_query: drift_at,
-        kind: if flags.contains_key("data-drift") {
-            DriftKind::Data(DataDriftKind::SortTruncate { col: 1 })
-        } else {
-            DriftKind::Workload {
-                new_mix: flags.get("new").cloned().unwrap_or_else(|| "w4".into()),
-            }
-        },
-    });
-    let adapt = if flags.contains_key("sync") {
-        AdaptMode::Synchronous {
-            supervisor: SupervisorConfig::default(),
-            invoke_every,
-        }
-    } else {
-        AdaptMode::Background(AdaptConfig {
-            invoke_every,
-            ..Default::default()
-        })
-    };
-    // Serving-scale controller: small modules keep retraining steps short.
-    let warper_cfg = WarperConfig {
-        embed_dim: 8,
-        hidden: 32,
-        n_i: 6,
-        pretrain_epochs: 3,
-        gamma: 200,
-        n_p: 60,
-        ..Default::default()
-    };
-    let Some(checkpoint_every) = num(flags, "checkpoint-every", 4usize) else {
-        return ExitCode::FAILURE;
-    };
-    let durable = match flags.get("state-dir") {
-        None => None,
-        Some(dir) => match StdVfs::open(dir) {
-            Ok(vfs) => Some(DurableReplay {
-                vfs: Arc::new(vfs),
-                cfg: DurabilityConfig { checkpoint_every },
-            }),
-            Err(e) => {
-                eprintln!("cannot open state dir {dir:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
-    let spec = ReplaySpec {
-        mix,
-        n_train: 400,
-        n_queries: queries,
-        clients,
-        drift,
-        adapt,
-        warper: warper_cfg,
-        seed,
-        spot_checks: 25,
-        durable,
-        precision,
-        ..Default::default()
-    };
-
-    println!(
-        "{} ({rows} rows), serving {queries} queries from {clients} clients ({})",
-        kind.name(),
-        if flags.contains_key("sync") {
-            "synchronous adaptation"
-        } else {
-            "background adaptation"
-        },
-    );
-    let table = generate(kind, rows, seed);
-    let rep = match run_replay(&table, &spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("replay failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_replay(&rep);
-
-    if flags.contains_key("smoke") {
-        // CI smoke gate: everything answered, nothing shed at this load,
-        // nothing errored, and tail latency within a generous bound.
-        let (_, _, p99, _) = rep.latency.summary_scaled(1_000.0);
-        let mut failures = Vec::new();
-        if rep.errors != 0 {
-            failures.push(format!("{} serve errors", rep.errors));
-        }
-        if rep.shed != 0 {
-            failures.push(format!("{} requests shed at idle load", rep.shed));
-        }
-        if rep.served != queries {
-            failures.push(format!("served {}/{queries}", rep.served));
-        }
-        if p99 > 250_000.0 {
-            failures.push(format!("p99 {p99:.0}µs above generous 250ms bound"));
-        }
-        if let Some(a) = &rep.adapt {
-            if a.invocations == 0 {
-                failures.push("adaptation never ran".into());
-            }
-        }
-        if !failures.is_empty() {
-            eprintln!("SMOKE FAILED: {}", failures.join("; "));
-            return ExitCode::FAILURE;
-        }
-        println!("smoke OK");
-    }
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
 /// `warper loadgen --connect ADDR[,ADDR2]`: deterministic multi-client
 /// load against networked servers, with bounded retry and rotation.
-fn cmd_loadgen_net(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_loadgen_net(flags: &Flags) -> Option<ExitCode> {
     use warper_repro::serve::net::{run_net_loadgen, NetLoadSpec};
-
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows().min(10_000)) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(queries) = num(flags, "queries", 2_000usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(clients) = num(flags, "clients", 4usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(tenants) = num(flags, "tenants", 0u32) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(zipf_s) = num(flags, "zipf", 1.1f64) else {
-        return ExitCode::FAILURE;
-    };
-    let endpoints: Vec<String> = flags
-        .get("connect")
-        .map(|s| s.split(',').map(str::to_string).collect())
-        .unwrap_or_default();
-    let mix = flags.get("mix").cloned().unwrap_or_else(|| "w1".into());
 
     // The table must match the server's `--dataset/--rows/--seed` so the
     // featurization (and therefore the checksum) lines up.
-    let table = generate(kind, rows, seed);
+    let (kind, rows, seed, table) = table_of(flags)?;
     let spec = NetLoadSpec {
-        endpoints,
-        clients,
-        n_queries: queries,
-        mix,
+        endpoints: flags
+            .get("connect")
+            .map(|s| s.split(',').map(str::to_string).collect())
+            .unwrap_or_default(),
+        clients: num(flags, "clients", 4usize)?,
+        n_queries: num(flags, "queries", 2_000usize)?,
+        mix: text(flags, "mix", "w1"),
         seed,
-        tenants,
-        zipf_s,
+        tenants: num(flags, "tenants", 0u32)?,
+        zipf_s: num(flags, "zipf", 1.1f64)?,
         ..Default::default()
     };
     println!(
-        "{} ({rows} rows), {queries} queries from {clients} networked clients → {:?}",
+        "{} ({rows} rows), {} queries from {} networked clients → {:?}",
         kind.name(),
+        spec.n_queries,
+        spec.clients,
         spec.endpoints
     );
     let rep = match run_net_loadgen(&table, &spec) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("loadgen failed: {e}")),
     };
     let (p50, p95, p99, max) = rep.latency.summary_scaled(1_000.0);
     println!(
@@ -1151,88 +874,13 @@ fn cmd_loadgen_net(flags: &HashMap<String, String>) -> ExitCode {
         rep.max_success_gap.as_secs_f64()
     );
     println!("estimates checksum: {:016x}", rep.checksum);
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
 
-fn cmd_loadgen(flags: &HashMap<String, String>) -> ExitCode {
-    use warper_repro::serve::{run_replay, ReplaySpec, ServiceConfig};
-
-    if flags.contains_key("connect") {
-        return cmd_loadgen_net(flags);
-    }
-    if flags.contains_key("tenants") {
-        return cmd_fleet_replay(flags, "tenants");
-    }
-
-    let Some(kind) = dataset_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = num(flags, "rows", kind.default_rows().min(10_000)) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(seed) = num(flags, "seed", 7u64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(queries) = num(flags, "queries", 2_000usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(clients) = num(flags, "clients", 4usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(batch) = num(flags, "batch", 64usize) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(rate) = num(flags, "rate", 0.0f64) else {
-        return ExitCode::FAILURE;
-    };
-    let Some(precision) = precision_of(flags) else {
-        return ExitCode::FAILURE;
-    };
-    let mix = flags.get("mix").cloned().unwrap_or_else(|| "w1".into());
-
-    let spec = ReplaySpec {
-        mix,
-        n_train: 400,
-        n_queries: queries,
-        clients,
-        service: ServiceConfig {
-            max_batch: batch,
-            ..Default::default()
-        },
-        precision,
-        seed,
-        pace: (rate > 0.0).then(|| ArrivalProcess {
-            rate_per_sec: rate,
-            period_secs: queries as f64 / rate,
-        }),
-        ..Default::default()
-    };
-
-    println!(
-        "{} ({rows} rows), load-generating {queries} queries from {clients} clients{}",
-        kind.name(),
-        if rate > 0.0 {
-            format!(" at {rate} qps")
-        } else {
-            " (closed loop)".into()
-        },
-    );
-    let table = generate(kind, rows, seed);
-    let rep = match run_replay(&table, &spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_replay(&rep);
-    ExitCode::SUCCESS
-}
-
-fn cmd_datasets() -> ExitCode {
+fn cmd_datasets() -> Option<ExitCode> {
     for kind in DatasetKind::all() {
         let t = generate(kind, kind.default_rows(), 7);
         println!("{:?}", t.profile());
     }
-    ExitCode::SUCCESS
+    Some(ExitCode::SUCCESS)
 }
