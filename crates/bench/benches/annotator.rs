@@ -242,14 +242,5 @@ fn main() {
     for (k, v) in sections {
         root.insert(k, v);
     }
-    let json = serde_json::to_string_pretty(&serde_json::Value::Object(root)).unwrap();
-    let mut dir = std::env::current_dir().unwrap();
-    while !dir.join("Cargo.lock").exists() {
-        if !dir.pop() {
-            break;
-        }
-    }
-    let path = dir.join("BENCH_annotator.json");
-    std::fs::write(&path, json).unwrap();
-    println!("wrote {}", path.display());
+    warper_bench::publish_bench("annotator", serde_json::Value::Object(root));
 }

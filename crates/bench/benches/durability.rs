@@ -23,7 +23,13 @@ use warper_ce::lm::{LmMlp, LmMlpParams};
 use warper_core::{WarperConfig, WarperController};
 use warper_durable::{DurabilityConfig, DurableStore, StdVfs};
 
-const DIM: usize = 8;
+/// The serving models the costs are taken at: the shape this bench has
+/// always measured, and the lifecycle benchmark's `trickle_big` LM-MLP
+/// (1.6 M parameters), where the image is nearly all weights.
+const SHAPES: [(&str, usize, [usize; 2]); 2] = [
+    ("8x512x256", 8, [512, 256]),
+    ("18x1792x896", 18, [1792, 896]),
+];
 const POOL_RECORDS: usize = 5_000;
 const CHECKPOINTS: usize = 20;
 const WAL_APPENDS: usize = 2_000;
@@ -33,7 +39,8 @@ fn mean_ms(total_secs: f64, n: usize) -> f64 {
     total_secs * 1e3 / n.max(1) as f64
 }
 
-fn main() {
+/// The three costs for one model shape, as a JSON section.
+fn measure(name: &str, dim: usize, hidden: [usize; 2]) -> serde_json::Value {
     // A realistically sized state: a trained controller whose pool is grown
     // to POOL_RECORDS labeled rows, plus a production-shaped serving model.
     let cfg = WarperConfig {
@@ -45,17 +52,17 @@ fn main() {
     };
     let training: Vec<(Vec<f64>, f64)> = (0..200)
         .map(|i| {
-            let row: Vec<f64> = (0..DIM)
+            let row: Vec<f64> = (0..dim)
                 .map(|d| 0.1 + 0.003 * ((i + d) % 11) as f64)
                 .collect();
             (row, 100.0 + (i % 13) as f64)
         })
         .collect();
-    let ctl = WarperController::new(DIM, &training, 1.5, cfg, 97);
+    let ctl = WarperController::new(dim, &training, 1.5, cfg, 97);
     let mut state = ctl.to_state();
     let extra: Vec<(Vec<f64>, Option<f64>)> = (0..POOL_RECORDS)
         .map(|i| {
-            let row: Vec<f64> = (0..DIM)
+            let row: Vec<f64> = (0..dim)
                 .map(|d| 0.05 + 0.001 * ((i * 7 + d) % 97) as f64)
                 .collect();
             (row, Some(50.0 + (i % 29) as f64))
@@ -63,15 +70,19 @@ fn main() {
         .collect();
     state.pool.append_new(&extra);
     let model = LmMlp::new(
-        DIM,
+        dim,
         LmMlpParams {
-            hidden: [512, 256],
+            hidden,
             ..Default::default()
         },
         97,
     );
+    let model_name = format!("lm-mlp {dim}->{}->{}->1", hidden[0], hidden[1]);
 
-    let dir = std::env::temp_dir().join(format!("warper-durability-bench-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "warper-durability-bench-{}-{name}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let vfs = Arc::new(StdVfs::open(&dir).expect("state dir opens"));
     let cfg = DurabilityConfig::default();
@@ -91,8 +102,8 @@ fn main() {
         .expect("snapshot exists")
         .len();
     println!(
-        "checkpoint: {checkpoint_ms:.2} ms/write ({CHECKPOINTS} writes, {snap_bytes} bytes, \
-         pool={POOL_RECORDS} + model 8->512->256->1)"
+        "{name}: checkpoint {checkpoint_ms:.2} ms/write ({CHECKPOINTS} writes, {snap_bytes} \
+         bytes, pool={POOL_RECORDS} + {model_name})"
     );
 
     // -----------------------------------------------------------------
@@ -100,7 +111,7 @@ fn main() {
     // -----------------------------------------------------------------
     let t0 = Instant::now();
     for i in 0..WAL_APPENDS {
-        let row: Vec<f64> = (0..DIM)
+        let row: Vec<f64> = (0..dim)
             .map(|d| 0.2 + 1e-7 * i as f64 + 0.002 * ((i + d) % 53) as f64)
             .collect();
         store
@@ -108,7 +119,7 @@ fn main() {
             .expect("append");
     }
     let wal_us = t0.elapsed().as_secs_f64() * 1e6 / WAL_APPENDS as f64;
-    println!("wal append: {wal_us:.1} us/label ({WAL_APPENDS} appends, fsync each)");
+    println!("{name}: wal append {wal_us:.1} us/label ({WAL_APPENDS} appends, fsync each)");
     assert_eq!(store.tail_len(), WAL_APPENDS);
     let stats = store.stats();
     assert_eq!(stats.checkpoint_failures, 0);
@@ -134,42 +145,28 @@ fn main() {
     let recovery_ms = mean_ms(recovery_secs, RECOVERIES);
     let report = report.expect("at least one recovery ran");
     println!(
-        "cold recovery: {recovery_ms:.2} ms (snapshot seq {} + {} WAL labels -> pool={})",
+        "{name}: cold recovery {recovery_ms:.2} ms (snapshot seq {} + {} WAL labels -> pool={})",
         report.snapshot_seq, report.wal_records_replayed, report.pool_len
     );
+    let _ = std::fs::remove_dir_all(&dir);
 
-    let mut out = serde_json::Map::new();
-    out.insert(
-        "bench".into(),
-        serde_json::Value::String("crates/bench/benches/durability.rs".into()),
-    );
-    out.insert(
-        "config".into(),
-        serde_json::json!({
-            "feature_dim": DIM,
+    serde_json::json!({
+        "config": serde_json::json!({
+            "feature_dim": dim,
             "pool_records": POOL_RECORDS,
-            "model": "lm-mlp 8->512->256->1",
+            "model": model_name,
             "wal_appends": WAL_APPENDS,
         }),
-    );
-    out.insert(
-        "checkpoint_write".into(),
-        serde_json::json!({
+        "checkpoint_write": serde_json::json!({
             "iterations": CHECKPOINTS,
             "mean_ms": checkpoint_ms,
             "snapshot_bytes": snap_bytes,
         }),
-    );
-    out.insert(
-        "wal_append".into(),
-        serde_json::json!({
+        "wal_append": serde_json::json!({
             "iterations": WAL_APPENDS,
             "mean_us": wal_us,
         }),
-    );
-    out.insert(
-        "cold_recovery".into(),
-        serde_json::json!({
+        "cold_recovery": serde_json::json!({
             "iterations": RECOVERIES,
             "mean_ms": recovery_ms,
             "snapshot_seq": report.snapshot_seq,
@@ -177,17 +174,17 @@ fn main() {
             "recovered_pool_len": report.pool_len,
             "recovered_pool_labeled": report.pool_labeled,
         }),
-    );
-    let json = serde_json::to_string_pretty(&serde_json::Value::Object(out)).unwrap();
+    })
+}
 
-    let mut root = std::env::current_dir().unwrap();
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            break;
-        }
+fn main() {
+    let mut out = serde_json::Map::new();
+    out.insert(
+        "bench".into(),
+        serde_json::Value::String("crates/bench/benches/durability.rs".into()),
+    );
+    for (name, dim, hidden) in SHAPES {
+        out.insert(name.into(), measure(name, dim, hidden));
     }
-    let path = root.join("BENCH_durability.json");
-    std::fs::write(&path, json).unwrap();
-    println!("wrote {}", path.display());
-    let _ = std::fs::remove_dir_all(&dir);
+    warper_bench::publish_bench("durability", serde_json::Value::Object(out));
 }

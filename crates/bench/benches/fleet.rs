@@ -242,14 +242,5 @@ fn main() {
         "independent_latency": hist_json(&naive_lat),
     });
 
-    let json = serde_json::to_string_pretty(&root).unwrap();
-    let mut dir = std::env::current_dir().unwrap();
-    while !dir.join("Cargo.lock").exists() {
-        if !dir.pop() {
-            break;
-        }
-    }
-    let path = dir.join("BENCH_fleet.json");
-    std::fs::write(&path, json).unwrap();
-    println!("wrote {}", path.display());
+    warper_bench::publish_bench("fleet", root);
 }

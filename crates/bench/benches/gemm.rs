@@ -294,16 +294,5 @@ fn main() {
     for (k, v) in sections {
         root.insert(k, v);
     }
-    let json = serde_json::to_string_pretty(&serde_json::Value::Object(root)).unwrap();
-    // The bench runs from the workspace root (cargo sets cwd to the package
-    // dir; walk up to the root that holds Cargo.lock).
-    let mut dir = std::env::current_dir().unwrap();
-    while !dir.join("Cargo.lock").exists() {
-        if !dir.pop() {
-            break;
-        }
-    }
-    let path = dir.join("BENCH_gemm.json");
-    std::fs::write(&path, json).unwrap();
-    println!("wrote {}", path.display());
+    warper_bench::publish_bench("gemm", serde_json::Value::Object(root));
 }

@@ -307,15 +307,5 @@ fn main() {
             "promoted_generation": standby_report.state.promoted_generation,
         }),
     );
-    let json = serde_json::to_string_pretty(&serde_json::Value::Object(out)).unwrap();
-
-    let mut root = std::env::current_dir().unwrap();
-    while !root.join("Cargo.lock").exists() {
-        if !root.pop() {
-            break;
-        }
-    }
-    let path = root.join("BENCH_net.json");
-    std::fs::write(&path, json).unwrap();
-    println!("wrote {}", path.display());
+    warper_bench::publish_bench("net", serde_json::Value::Object(out));
 }

@@ -278,14 +278,5 @@ fn main() {
         "canaries": cfg.canaries,
     });
 
-    let json = serde_json::to_string_pretty(&root).unwrap();
-    let mut dir = std::env::current_dir().unwrap();
-    while !dir.join("Cargo.lock").exists() {
-        if !dir.pop() {
-            break;
-        }
-    }
-    let path = dir.join("BENCH_sketch.json");
-    std::fs::write(&path, json).unwrap();
-    println!("wrote {}", path.display());
+    warper_bench::publish_bench("sketch", root);
 }

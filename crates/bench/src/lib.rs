@@ -21,6 +21,54 @@ use warper_metrics::{relative_speedups, SpeedupReport};
 use warper_storage::{generate, DatasetKind, Table};
 use warper_workload::ArrivalProcess;
 
+/// The repository root, anchored on this crate's manifest (two levels down
+/// from it) and not on the working directory: a copy of the workspace under
+/// a directory with no `Cargo.lock` above it must not publish at `/`.
+pub fn repo_root() -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    root.canonicalize().unwrap_or(root)
+}
+
+/// Writes `results` (a JSON object) as `BENCH_<name>.json` at the
+/// [`repo_root`], stamped with what a reader needs before comparing it to
+/// another file: commit, core count, SIMD tier and compiler.
+pub fn publish_bench(name: &str, mut results: serde_json::Value) {
+    let root = repo_root();
+    let tool = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .current_dir(&root)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    let unknown = || "unknown".to_string();
+    let commit = tool("git", &["rev-parse", "--short", "HEAD"]).map_or_else(unknown, |head| {
+        match tool("git", &["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if !changes.is_empty() => head + "+dirty",
+            _ => head,
+        }
+    });
+    let stamp = serde_json::json!({
+        "commit": commit,
+        "cores": std::thread::available_parallelism().map_or(1, |p| p.get()),
+        "simd": warper_linalg::active_backend_name(),
+        "rustc": tool("rustc", &["--version"]).unwrap_or_else(unknown),
+    });
+    match &mut results {
+        serde_json::Value::Object(map) => {
+            map.insert("measured_on".into(), stamp);
+        }
+        other => panic!("bench results must be a JSON object, got {other:?}"),
+    }
+    let json = serde_json::to_string_pretty(&results).expect("results serialize");
+    let path = root.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

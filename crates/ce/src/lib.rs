@@ -110,6 +110,17 @@ pub trait CardinalityEstimator: Send + Sync + std::any::Any {
     }
 }
 
+/// `model`'s estimates for every feature vector of `features`, as one
+/// [`CardinalityEstimator::estimate_many`] pass. The batch-invariant GEMM
+/// makes the result bit-identical to estimating each query on its own.
+pub fn estimate_all<'a>(
+    model: &dyn CardinalityEstimator,
+    features: impl IntoIterator<Item = &'a [f64]>,
+) -> Vec<f64> {
+    let queries: Vec<&[f64]> = features.into_iter().collect();
+    model.estimate_many(&queries)
+}
+
 /// Implements [`CardinalityEstimator::snapshot`] /
 /// [`CardinalityEstimator::restore`] via `Clone` + `Any` downcasting, for use
 /// inside a `CardinalityEstimator` impl block of a `Clone + 'static` model.

@@ -86,9 +86,9 @@ impl LmMlp {
         }
     }
 
-    /// Snapshot of the trained network (for persistence).
-    pub fn net_snapshot(&self) -> Mlp {
-        self.net.clone()
+    /// The trained network.
+    pub fn net(&self) -> &Mlp {
+        &self.net
     }
 
     /// Snapshot of the hyperparameters.
@@ -551,22 +551,55 @@ mod tests {
         gmq_of(&pairs)
     }
 
-    #[test]
-    fn estimate_many_matches_per_query_estimates() {
-        let (train, test, dim) = make_training(300, 13);
-        let mut m = LmMlp::new(dim, LmMlpParams::default(), 7);
-        m.fit(&train);
-        let queries: Vec<&[f64]> = test.iter().map(|e| e.features.as_slice()).collect();
-        let batched = m.estimate_many(&queries);
-        assert_eq!(batched.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batched) {
-            let single = m.estimate(q);
-            assert!(
-                (single - b).abs() <= 1e-9 * single.abs().max(1.0),
-                "batched {b} vs single {single}"
-            );
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
+
+        /// The property the batched adaptation round rests on: a query's
+        /// estimate has the same bits alone, in a batch of any size, and
+        /// under any GEMM thread count. 16 → 512 → 256 → 1 makes the second
+        /// layer 131 072 multiply-adds a row, so batches of 30 and 31 sit
+        /// either side of `PARALLEL_FLOP_CUTOFF`; the other sizes straddle the
+        /// micro-kernel tile and the smallest parallel band.
+        #[test]
+        fn estimate_many_matches_per_query_estimates(seed in 0u64..10_000) {
+            use warper_linalg::gemm::{self, MIN_ROWS_PER_BAND, MR, PARALLEL_FLOP_CUTOFF};
+            const DIM: usize = 16;
+            const HIDDEN: [usize; 2] = [512, 256];
+            let cutoff_rows = PARALLEL_FLOP_CUTOFF.div_ceil((HIDDEN[0] * HIDDEN[1]) as u64) as usize;
+            let params = LmMlpParams { hidden: HIDDEN, ..Default::default() };
+            let m = LmMlp::new(DIM, params, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for batch in [
+                1, MR - 1, MR, MR + 1, MIN_ROWS_PER_BAND - 1, MIN_ROWS_PER_BAND,
+                MIN_ROWS_PER_BAND + 1, 2 * MIN_ROWS_PER_BAND + 1, cutoff_rows - 1, cutoff_rows,
+                cutoff_rows + 1, 2 * cutoff_rows + 3,
+            ] {
+                let feats: Vec<Vec<f64>> = (0..batch)
+                    .map(|_| (0..DIM).map(|_| rng.random_range(0.0..1.0)).collect())
+                    .collect();
+                let queries: Vec<&[f64]> = feats.iter().map(Vec::as_slice).collect();
+                let single: Vec<u64> = queries.iter().map(|q| m.estimate(q).to_bits()).collect();
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(&bits(m.estimate_many(&queries)), &single);
+                // The same forward pass with the GEMM worker count pinned.
+                for threads in [1, 2, 4] {
+                    let mut h = Matrix::from_rows(&feats);
+                    for (i, layer) in m.net().layers().iter().enumerate() {
+                        let mut y = Matrix::zeros(0, 0);
+                        gemm::matmul_transpose_b_into_threaded(&mut y, &h, &layer.w, threads);
+                        for r in 0..y.rows() {
+                            for (v, b) in y.row_mut(r).iter_mut().zip(&layer.b) {
+                                *v += b;
+                            }
+                        }
+                        h = m.net().activation_for(i).forward(&y);
+                    }
+                    let pinned = (0..batch).map(|r| from_target(h.get(r, 0))).collect();
+                    proptest::prop_assert_eq!(&bits(pinned), &single);
+                }
+            }
+            proptest::prop_assert!(m.estimate_many(&[]).is_empty());
         }
-        assert!(m.estimate_many(&[]).is_empty());
     }
 
     #[test]

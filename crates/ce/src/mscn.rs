@@ -540,6 +540,36 @@ mod tests {
         assert_eq!(m.update_kind(), UpdateKind::FineTune);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
+
+        /// Batched and per-query estimates agree to the bit (see the LM-MLP
+        /// twin in `lm.rs`): with 256-wide set modules the per-table pass
+        /// crosses `PARALLEL_FLOP_CUTOFF` between 15 and 16 queries.
+        #[test]
+        fn estimate_many_matches_per_query_estimates(seed in 0u64..10_000) {
+            use warper_linalg::gemm::{MIN_ROWS_PER_BAND, MR, PARALLEL_FLOP_CUTOFF};
+            let cfg = MscnConfig { hidden: 256, ..MscnConfig::new(2, 12, 1) };
+            let cutoff_rows =
+                PARALLEL_FLOP_CUTOFF.div_ceil((cfg.n_tables * cfg.hidden * cfg.hidden) as u64) as usize;
+            let m = Mscn::new(cfg, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for batch in [
+                1, MR / 2, MR, MR + 1, MIN_ROWS_PER_BAND - 1, MIN_ROWS_PER_BAND + 1,
+                cutoff_rows - 1, cutoff_rows, cutoff_rows + 1, 2 * cutoff_rows + 3,
+            ] {
+                let feats: Vec<Vec<f64>> = (0..batch)
+                    .map(|_| (0..cfg.feature_dim()).map(|_| rng.random_range(0.0..1.0)).collect())
+                    .collect();
+                let queries: Vec<&[f64]> = feats.iter().map(Vec::as_slice).collect();
+                let single: Vec<u64> = queries.iter().map(|q| m.estimate(q).to_bits()).collect();
+                let batched: Vec<u64> =
+                    m.estimate_many(&queries).into_iter().map(f64::to_bits).collect();
+                proptest::prop_assert_eq!(batched, single);
+            }
+        }
+    }
+
     #[test]
     fn featurizer_blocks_and_flags() {
         let f = MscnFeaturizer::new(

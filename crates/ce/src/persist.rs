@@ -7,6 +7,10 @@
 //! are rebuilt on load.
 
 use serde::{Deserialize, Serialize};
+/// The binary-image vocabulary the states below implement, re-exported for
+/// `warper-durable`, which frames them and has no other road to `linalg`.
+pub use warper_linalg::bulk;
+use warper_linalg::bulk::{Bulk, Runs};
 use warper_nn::{GradientBoostedTrees, KernelRidge, Mlp};
 
 use crate::lm::{KrrVariant, LmGbt, LmKrr, LmLinear, LmMlp, LmMlpParams};
@@ -77,6 +81,39 @@ pub struct MscnState {
     pub head: Mlp,
     /// Seed for the training RNG on load.
     pub seed: u64,
+}
+
+impl Bulk for LmMlpState {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.net.runs(v);
+    }
+}
+
+impl Bulk for LmGbtState {
+    /// Trees are structure, not runs: the ensemble stays in the skeleton.
+    fn runs(&mut self, _v: &mut dyn Runs) {}
+}
+
+impl Bulk for LmKrrState {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.model.runs(v);
+    }
+}
+
+impl Bulk for LmLinearState {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        if let Some(beta) = &mut self.beta {
+            v.f64s(beta, None);
+        }
+    }
+}
+
+impl Bulk for MscnState {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.pred_net.runs(v);
+        self.join_net.runs(v);
+        self.head.runs(v);
+    }
 }
 
 /// A persisted model state failed validation on load.
@@ -177,7 +214,7 @@ impl Persistable for LmMlp {
 
     fn to_state(&self) -> LmMlpState {
         LmMlpState {
-            net: self.net_snapshot(),
+            net: self.net().clone(),
             params: self.params_snapshot(),
             feature_dim: self.feature_dim_snapshot(),
             seed: self.seed_snapshot(),

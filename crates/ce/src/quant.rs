@@ -119,7 +119,7 @@ impl QuantizedModel {
     pub fn from_lm(model: &LmMlp, precision: Precision) -> Option<Self> {
         let wp = precision.weight_precision()?;
         Some(Self {
-            net: QuantNet::Lm(QuantizedMlp::from_mlp(&model.net_snapshot(), wp)),
+            net: QuantNet::Lm(QuantizedMlp::from_mlp(model.net(), wp)),
             feature_dim: model.feature_dim_snapshot(),
             precision,
             backend: Backend::Auto,

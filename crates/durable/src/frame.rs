@@ -15,8 +15,11 @@
 /// allocated: a torn length word must not drive a multi-gigabyte read.
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic byte-at-a-time table and
+/// `T[k][b]` the CRC of byte `b` followed by `k` zero bytes, so eight input
+/// bytes fold into the register with eight independent lookups.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -29,20 +32,43 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected).
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        let idx = ((crc ^ byte as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -54,6 +80,34 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Appends one frame to `out` whose payload `fill` writes in place — a
+/// multi-megabyte checkpoint payload is never copied into its frame. A
+/// payload longer than `max_len` would be written as a frame
+/// [`decode_frame`] refuses: `out` is left as it was and `Err` carries the
+/// payload's length.
+pub fn write_frame(
+    out: &mut Vec<u8>,
+    max_len: u32,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), usize> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    fill(out);
+    let len = out.len() - at - 8;
+    match u32::try_from(len) {
+        Ok(len32) if len32 <= max_len => {
+            let crc = crc32(&out[at + 8..]);
+            out[at..at + 4].copy_from_slice(&len32.to_le_bytes());
+            out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+            Ok(())
+        }
+        _ => {
+            out.truncate(at);
+            Err(len)
+        }
+    }
 }
 
 /// Result of decoding the frame at the start of a buffer.
@@ -104,6 +158,43 @@ mod tests {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time loop [`crc32`] replaced, kept as its reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 computes the same function at every length 0–4096
+        /// (the 8-byte body and each remainder) and every start alignment.
+        #[test]
+        fn crc32_matches_the_bytewise_loop(
+            bytes in proptest::collection::vec(0u8..=255, 7..4104usize),
+            len in 0usize..=4096,
+        ) {
+            for start in 0..8 {
+                let data = &bytes[start..(start + len).min(bytes.len())];
+                proptest::prop_assert_eq!(crc32(data), crc32_bytewise(data));
+            }
+        }
+    }
+
+    #[test]
+    fn write_frame_equals_encode_frame_and_enforces_the_cap() {
+        let mut out = b"prefix".to_vec();
+        write_frame(&mut out, 16, |o| o.extend_from_slice(b"hello warper")).unwrap();
+        assert_eq!(&out[6..], encode_frame(b"hello warper"));
+        let before = out.clone();
+        assert_eq!(
+            write_frame(&mut out, 16, |o| o.resize(o.len() + 17, 7)),
+            Err(17)
+        );
+        assert_eq!(out, before, "a refused frame leaves no bytes behind");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   directory, [`vfs::MemVfs`] modelling fsync/dir-sync crash semantics,
 //!   and [`vfs::FailpointVfs`] injecting deterministic faults at any
 //!   schedulable operation;
-//! * [`frame`] — CRC32-framed record encoding shared by snapshots and WAL;
+//! * [`frame`] — CRC32-framed record encoding shared by snapshots and WAL
+//!   (the snapshot frames' payloads are `warper_linalg::bulk` images: raw
+//!   little-endian runs for the weights, JSON for the rest);
 //! * [`wal`] — the write-ahead log of annotation observations between
 //!   checkpoints, with truncate-repair of torn tails;
 //! * [`model_blob`] — type-erased persistence of the serving CE model;
@@ -36,8 +38,9 @@ pub mod wal;
 pub use model_blob::ModelBlob;
 pub use scoped::{ScopedVfs, SCOPE_SEP};
 pub use store::{
-    decode_snapshot, snap_file_name, wal_file_name, DurabilityConfig, DurabilityStats,
-    DurableEvent, DurableStore, DurableTap, LoadedSnapshot, Recovered, RecoveryReport,
+    decode_snapshot, encode_snapshot, snap_file_name, wal_file_name, DurabilityConfig,
+    DurabilityStats, DurableEvent, DurableStore, DurableTap, LoadedSnapshot, Recovered,
+    RecoveryReport,
 };
 pub use vfs::{FailKind, FailPlan, FailpointVfs, MemVfs, StdVfs, Vfs, VfsError};
 pub use wal::{validate_wal_frame, WalRecord, WalWriter};

@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 use warper_ce::lm::{LmGbt, LmKrr, LmLinear, LmMlp};
 use warper_ce::mscn::Mscn;
+use warper_ce::persist::bulk::{Bulk, Runs};
 use warper_ce::persist::{LmGbtState, LmKrrState, LmLinearState, LmMlpState, MscnState};
 use warper_ce::{CardinalityEstimator, Persistable};
 
@@ -23,6 +24,18 @@ pub enum ModelBlob {
     LmKrr(LmKrrState),
     LmLinear(LmLinearState),
     Mscn(MscnState),
+}
+
+impl Bulk for ModelBlob {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        match self {
+            ModelBlob::LmMlp(s) => s.runs(v),
+            ModelBlob::LmGbt(s) => s.runs(v),
+            ModelBlob::LmKrr(s) => s.runs(v),
+            ModelBlob::LmLinear(s) => s.runs(v),
+            ModelBlob::Mscn(s) => s.runs(v),
+        }
+    }
 }
 
 impl ModelBlob {

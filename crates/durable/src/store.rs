@@ -3,12 +3,19 @@
 //! ## On-disk layout (flat, inside one state directory)
 //!
 //! ```text
-//! snap-00000007.ckpt   magic "WARPSNP1" + frame(WarperState) + frame(Option<ModelBlob>)
+//! snap-00000007.ckpt   magic "WARPSNP4" + frame(WarperState) + frame(Option<ModelBlob>)
 //! snap-00000008.ckpt   newest snapshot (last-known-good is the one before)
 //! wal-00000007.log     magic "WARPWAL1" + frames of labels since snap 7
 //! wal-00000008.log     labels since snap 8 (the live WAL)
 //! tmp-snap-*.ckpt      in-flight checkpoint; removed/overwritten on open
 //! ```
+//!
+//! Both frame payloads are [`bulk`] images: weights, pool features and
+//! sketch registers as raw little-endian runs, everything else as the JSON
+//! skeleton. That is the only format written; `"WARPSNP1"` files (the same
+//! two frames, each one JSON text) written by earlier builds still load, so
+//! a state directory upgrades in place at its next checkpoint. The WAL
+//! format is the same under both.
 //!
 //! ## Checkpoint protocol (fsync ordering)
 //!
@@ -54,17 +61,23 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
+use warper_ce::persist::bulk;
 use warper_ce::CardinalityEstimator;
 use warper_core::WarperState;
 
-use crate::frame::{decode_frame, encode_frame, FrameDecode};
+use crate::frame::{decode_frame, encode_frame, write_frame, FrameDecode, MAX_FRAME_LEN};
 use crate::model_blob::ModelBlob;
 use crate::vfs::Vfs;
 use crate::wal::{is_not_found, read_wal, WalRecord, WalWriter};
 use crate::DurabilityError;
 
-/// Magic prefix of every snapshot file ("WARPSNP" + format version 1).
-pub const SNAP_MAGIC: &[u8; 8] = b"WARPSNP1";
+/// Magic prefix of the snapshot files this build writes: both frames are
+/// [`bulk`] images.
+pub const SNAP_MAGIC: &[u8; 8] = b"WARPSNP4";
+
+/// Magic prefix of the snapshot files earlier builds wrote (both frames JSON
+/// text); read, never written.
+pub const SNAP_MAGIC_V1: &[u8; 8] = b"WARPSNP1";
 
 fn snap_name(seq: u64) -> String {
     format!("snap-{seq:08}.ckpt")
@@ -210,6 +223,9 @@ pub struct DurableStore {
     commits_since_checkpoint: usize,
     stats: DurabilityStats,
     tap: Option<DurableTap>,
+    /// Largest frame payload a checkpoint may write: [`MAX_FRAME_LEN`], the
+    /// most the reader accepts (unit tests lower it).
+    max_frame_len: u32,
 }
 
 impl DurableStore {
@@ -271,6 +287,7 @@ impl DurableStore {
                 commits_since_checkpoint: 0,
                 stats: DurabilityStats::default(),
                 tap: None,
+                max_frame_len: MAX_FRAME_LEN,
             };
             return Ok((store, None));
         };
@@ -349,6 +366,7 @@ impl DurableStore {
             commits_since_checkpoint: 0,
             stats: DurabilityStats::default(),
             tap: None,
+            max_frame_len: MAX_FRAME_LEN,
         };
         Ok((
             store,
@@ -485,12 +503,9 @@ impl DurableStore {
         let tmp = tmp_snap_name(next);
         let snap = snap_name(next);
 
-        let mut bytes = SNAP_MAGIC.to_vec();
-        let state_json = crate::json_to_bytes(state).map_err(DurabilityError::Encode)?;
-        bytes.extend_from_slice(&encode_frame(&state_json));
-        let blob = model.and_then(ModelBlob::capture);
-        let blob_json = crate::json_to_bytes(&blob).map_err(DurabilityError::Encode)?;
-        bytes.extend_from_slice(&encode_frame(&blob_json));
+        // Before the first file operation: an image the reader would refuse
+        // leaves the old snapshot + WAL as the durable image.
+        let bytes = encode_snapshot_capped(state, model, self.max_frame_len)?;
 
         self.vfs.create(&tmp)?;
         self.vfs.append(&tmp, &bytes)?;
@@ -624,25 +639,67 @@ fn load_snapshot(vfs: &dyn Vfs, name: &str) -> Result<LoadedSnapshot, Durability
     decode_snapshot(&data)
 }
 
+/// Encode a full snapshot image (magic + state frame + model frame) in the
+/// format this build writes. Deterministic: the same state and model yield
+/// the same bytes, which replication's shipped checkpoint images rely on.
+pub fn encode_snapshot(
+    state: &WarperState,
+    model: Option<&dyn CardinalityEstimator>,
+) -> Result<Vec<u8>, DurabilityError> {
+    encode_snapshot_capped(state, model, MAX_FRAME_LEN)
+}
+
+fn encode_snapshot_capped(
+    state: &WarperState,
+    model: Option<&dyn CardinalityEstimator>,
+    max_frame_len: u32,
+) -> Result<Vec<u8>, DurabilityError> {
+    let too_long = |what: &str, len: usize| {
+        DurabilityError::Encode(format!(
+            "{what} frame of {len} bytes exceeds the {max_frame_len}-byte frame limit"
+        ))
+    };
+    let mut bytes = SNAP_MAGIC.to_vec();
+    // `encode` moves the runs out of the value it is given, hence the copy
+    // (of the small frame: the weights are in the model's).
+    write_frame(&mut bytes, max_frame_len, |out| {
+        bulk::encode(state.clone(), out)
+    })
+    .map_err(|len| too_long("state", len))?;
+    let blob = model.and_then(ModelBlob::capture);
+    write_frame(&mut bytes, max_frame_len, |out| bulk::encode(blob, out))
+        .map_err(|len| too_long("model", len))?;
+    Ok(bytes)
+}
+
 /// Decode and validate a full snapshot image from bytes (magic + state
-/// frame + model frame). Public so a replication standby can vet a shipped
-/// checkpoint — including `WarperState::validate` — *before* installing it.
+/// frame + model frame), in either the current [`SNAP_MAGIC`] format or the
+/// JSON [`SNAP_MAGIC_V1`] one. Public so a replication standby can vet a
+/// shipped checkpoint — including `WarperState::validate` — *before*
+/// installing it. Total and allocation-bounded on arbitrary bytes.
 pub fn decode_snapshot(data: &[u8]) -> Result<LoadedSnapshot, DurabilityError> {
-    if data.len() < SNAP_MAGIC.len() || &data[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-        return Err(DurabilityError::Corrupt("bad snapshot magic".into()));
-    }
-    let rest = &data[SNAP_MAGIC.len()..];
+    type Payload<T> = fn(&[u8]) -> Result<T, String>;
+    let bad_magic = || DurabilityError::Corrupt("bad snapshot magic".into());
+    let (magic, rest) = data.split_first_chunk::<8>().ok_or_else(bad_magic)?;
+    let (state_of, blob_of): (Payload<WarperState>, Payload<Option<ModelBlob>>) =
+        if magic == SNAP_MAGIC {
+            (bulk::decode, bulk::decode)
+        } else if magic == SNAP_MAGIC_V1 {
+            (crate::json_from_bytes, crate::json_from_bytes)
+        } else {
+            return Err(bad_magic());
+        };
     let FrameDecode::Frame { payload, consumed } = decode_frame(rest) else {
         return Err(DurabilityError::Corrupt(
             "snapshot state frame damaged".into(),
         ));
     };
-    let state: WarperState = crate::json_from_bytes(payload)
+    let state = state_of(payload)
         .map_err(|e| DurabilityError::Corrupt(format!("snapshot state undecodable: {e}")))?;
     state.validate().map_err(DurabilityError::State)?;
     let model = match decode_frame(&rest[consumed..]) {
         FrameDecode::Frame { payload, .. } => {
-            let blob: Option<ModelBlob> = crate::json_from_bytes(payload)
+            let blob = blob_of(payload)
                 .map_err(|e| DurabilityError::Corrupt(format!("model blob undecodable: {e}")))?;
             match blob {
                 Some(blob) => Some(blob.restore()?),
@@ -659,4 +716,69 @@ pub fn decode_snapshot(data: &[u8]) -> Result<LoadedSnapshot, DurabilityError> {
         }
     };
     Ok((state, model))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vfs::MemVfs;
+    use warper_core::{WarperConfig, WarperController};
+
+    fn small_state() -> WarperState {
+        let cfg = WarperConfig {
+            embed_dim: 6,
+            hidden: 16,
+            n_i: 8,
+            pretrain_epochs: 2,
+            gamma: 100,
+            ..Default::default()
+        };
+        let train: Vec<(Vec<f64>, f64)> = (0..40)
+            .map(|i| (vec![0.2 + 0.001 * (i % 7) as f64; 4], 300.0))
+            .collect();
+        WarperController::new(4, &train, 1.5, cfg, 42).to_state()
+    }
+
+    fn files(mem: &MemVfs) -> Vec<(String, Vec<u8>)> {
+        let mut names = mem.list().expect("list");
+        names.sort();
+        names
+            .into_iter()
+            .map(|n| {
+                let bytes = mem.read(&n).expect("read");
+                (n, bytes)
+            })
+            .collect()
+    }
+
+    /// A frame longer than the reader's limit used to be written (its length
+    /// cast to `u32`), the WAL rotated, and every later restart refused the
+    /// image. It is now refused before the first file operation.
+    #[test]
+    fn checkpoint_the_reader_would_refuse_is_not_written() {
+        let mem = MemVfs::new();
+        let (mut store, _) =
+            DurableStore::open(Arc::new(mem.clone()), DurabilityConfig::default()).expect("open");
+        let state = small_state();
+        store.checkpoint(&state, None).expect("base checkpoint");
+        store
+            .append_label(&[0.1, 0.2, 0.3, 0.4], 77.0, false)
+            .expect("label");
+        let before = files(&mem);
+
+        store.max_frame_len = 64;
+        let err = store.checkpoint(&state, None).expect_err("over the cap");
+        assert!(matches!(err, DurabilityError::Encode(_)), "{err}");
+        assert_eq!(files(&mem), before, "no temp file, no rotation, no rename");
+        assert_eq!(store.seq(), 1);
+        assert_eq!(store.stats().checkpoint_failures, 1);
+
+        // The old snapshot + WAL are still the durable image.
+        drop(store);
+        let (_, recovered) =
+            DurableStore::open(Arc::new(mem), DurabilityConfig::default()).expect("reopen");
+        let rec = recovered.expect("image");
+        assert_eq!(rec.report.snapshot_seq, 1);
+        assert_eq!(rec.report.wal_records_replayed, 1);
+    }
 }

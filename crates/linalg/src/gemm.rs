@@ -31,7 +31,7 @@ const BLOCK_K: usize = 64;
 pub const PARALLEL_FLOP_CUTOFF: u64 = 4_000_000;
 
 /// A parallel worker never gets fewer output rows than this.
-const MIN_ROWS_PER_BAND: usize = 8;
+pub const MIN_ROWS_PER_BAND: usize = 8;
 
 /// Picks a worker count for an `m×k · k×n` product: 1 below the FLOP
 /// cutoff, otherwise bounded by hardware parallelism and by giving every
@@ -128,7 +128,7 @@ fn run_banded(
 }
 
 /// Micro-kernel tile height: output rows accumulated in registers at once.
-const MR: usize = 4;
+pub const MR: usize = 4;
 /// Micro-kernel tile width in f64 lanes (one or two SIMD vectors).
 const NR: usize = 8;
 

@@ -23,6 +23,7 @@
 // Index-based loops are the clearer idiom for the numerical kernels here.
 #![allow(clippy::needless_range_loop)]
 
+pub mod bulk;
 pub mod eigen;
 pub mod gemm;
 pub mod gemm32;

@@ -16,6 +16,13 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
+impl crate::bulk::Bulk for Matrix {
+    fn runs(&mut self, v: &mut dyn crate::bulk::Runs) {
+        // An overflowing shape saturates, and so can match no run.
+        v.f64s(&mut self.data, Some(self.rows.saturating_mul(self.cols)));
+    }
+}
+
 impl Matrix {
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {

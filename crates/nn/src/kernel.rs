@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use warper_linalg::bulk::{Bulk, Runs};
 use warper_linalg::{cholesky_solve, Matrix};
 
 /// Kernel functions.
@@ -119,6 +120,15 @@ pub struct KernelRidge {
     kernel: Kernel,
     support: Vec<Vec<f64>>,
     alpha: Vec<f64>,
+}
+
+impl Bulk for KernelRidge {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        for row in &mut self.support {
+            v.f64s(row, None);
+        }
+        v.f64s(&mut self.alpha, None);
+    }
 }
 
 impl KernelRidge {

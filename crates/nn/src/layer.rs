@@ -1,6 +1,7 @@
 //! Fully-connected layers and activations.
 
 use rand::rngs::StdRng;
+use warper_linalg::bulk::{Bulk, Runs};
 use warper_linalg::Matrix;
 
 use crate::init::he_init;
@@ -104,6 +105,13 @@ pub struct LinearGrads {
     pub dw: Matrix,
     /// `∂L/∂b`, same shape as `b`.
     pub db: Vec<f64>,
+}
+
+impl Bulk for Linear {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.w.runs(v);
+        v.f64s(&mut self.b, None);
+    }
 }
 
 impl Linear {

@@ -1,6 +1,7 @@
 //! Multi-layer perceptrons with backpropagation.
 
 use rand::rngs::StdRng;
+use warper_linalg::bulk::{Bulk, Runs};
 use warper_linalg::Matrix;
 
 use crate::layer::{Activation, Linear, LinearGrads};
@@ -20,6 +21,12 @@ pub struct Mlp {
     layers: Vec<Linear>,
     hidden_act: Activation,
     out_act: Activation,
+}
+
+impl Bulk for Mlp {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.layers.runs(v);
+    }
 }
 
 /// Per-layer parameter gradients for an [`Mlp`].

@@ -158,9 +158,9 @@ struct Published {
 }
 
 /// Builds the publication hook — the crate's single publication point: on
-/// every commit, snapshot the model, quantize-and-gate the serving copy at
-/// the requested precision, re-validate the controller state, and swap the
-/// cell. Durability always receives the full f64 model — quantization is
+/// every commit, quantize-and-gate a serving copy at the requested precision
+/// against the borrowed model, re-validate the controller state, and swap
+/// the cell. Durability always receives the full f64 model — quantization is
 /// serving-only.
 fn publish_hook(
     cell: Arc<SnapshotCell<ModelSnapshot>>,
@@ -171,26 +171,18 @@ fn publish_hook(
 ) -> CommitHook {
     Box::new(move |state, model| {
         let next_gen = cell.version() + 1;
-        let ok = model
-            .snapshot()
-            .and_then(|full| {
-                let probes = crate::quant::probe_features(state);
-                let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
-                let (serving, served, outcome) = crate::quant::prepare_serving_model(
-                    model,
-                    full,
-                    precision,
-                    &refs,
-                    quant_tolerance,
-                );
-                if matches!(outcome, crate::quant::QuantOutcome::Refused(_)) {
-                    counts.quant_refusals.fetch_add(1, Ordering::Relaxed);
-                }
-                ModelSnapshot::committed(next_gen, serving, state)
-                    .ok()
-                    .map(|snap| snap.with_precision(served))
-            })
-            .map(|snap| cell.publish(snap));
+        let probes = crate::quant::probe_features(state);
+        let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
+        let (chosen, served, outcome) =
+            crate::quant::quantize_and_gate(model, precision, &refs, quant_tolerance);
+        if matches!(outcome, crate::quant::QuantOutcome::Refused(_)) {
+            counts.quant_refusals.fetch_add(1, Ordering::Relaxed);
+        }
+        // The f64 model is copied only when it is what will serve.
+        let ok = chosen
+            .or_else(|| model.snapshot())
+            .and_then(|serving| ModelSnapshot::committed(next_gen, serving, state).ok())
+            .map(|snap| cell.publish(snap.with_precision(served)));
         match ok {
             Some(_) => counts.published.fetch_add(1, Ordering::Relaxed),
             None => counts.failures.fetch_add(1, Ordering::Relaxed),

@@ -45,28 +45,36 @@ impl QuantOutcome {
     }
 }
 
+/// A gate verdict: the quantized candidate when it may serve (`None` when
+/// the f64 model must), the precision that serves, and what happened.
+type Gated = (
+    Option<Box<dyn CardinalityEstimator>>,
+    Precision,
+    QuantOutcome,
+);
+
 /// Measures the quantized candidate's GMQ drift against the full model over
-/// `probes` and returns the model to publish plus what happened.
+/// `probes`.
 ///
-/// `full` must be the serving snapshot of the validated f64 model;
-/// `candidate` its quantized copy (pass `None` when quantization is
-/// unsupported or not requested). With an empty probe set the gate cannot
-/// measure drift and refuses conservatively.
+/// `full` is the validated f64 model, only borrowed — the caller copies it
+/// just when the answer is `None`; `candidate` its quantized copy (pass
+/// `None` when quantization is unsupported or not requested). With an empty
+/// probe set the gate cannot measure drift and refuses conservatively.
 pub fn gate_and_choose(
-    full: Box<dyn CardinalityEstimator>,
+    full: &dyn CardinalityEstimator,
     candidate: Option<Box<dyn CardinalityEstimator>>,
     requested: Precision,
     probes: &[&[f64]],
     tolerance: f64,
-) -> (Box<dyn CardinalityEstimator>, Precision, QuantOutcome) {
+) -> Gated {
     if requested == Precision::F64 {
-        return (full, Precision::F64, QuantOutcome::FullPrecision);
+        return (None, Precision::F64, QuantOutcome::FullPrecision);
     }
     let Some(candidate) = candidate else {
-        return (full, Precision::F64, QuantOutcome::Unsupported);
+        return (None, Precision::F64, QuantOutcome::Unsupported);
     };
     if probes.is_empty() {
-        return (full, Precision::F64, QuantOutcome::Refused(f64::INFINITY));
+        return (None, Precision::F64, QuantOutcome::Refused(f64::INFINITY));
     }
     let reference = full.estimate_many(probes);
     let quantized = candidate.estimate_many(probes);
@@ -74,14 +82,28 @@ pub fn gate_and_choose(
     // perfectly faithful copy scores exactly 1.0.
     let drift = gmq(&quantized, &reference, PAPER_THETA);
     if drift.is_finite() && drift <= 1.0 + tolerance {
-        (candidate, requested, QuantOutcome::Quantized(drift))
+        (Some(candidate), requested, QuantOutcome::Quantized(drift))
     } else {
-        (full, Precision::F64, QuantOutcome::Refused(drift))
+        (None, Precision::F64, QuantOutcome::Refused(drift))
     }
 }
 
-/// Quantizes `model`'s serving copy at `requested` and runs the gate in one
-/// step — the convenience wrapper the commit hook and replay setup use.
+/// Quantizes `model` at `requested` and runs the gate against the borrowed
+/// model: what the commit hook calls, copying the f64 model only when the
+/// answer is `None`.
+pub(crate) fn quantize_and_gate(
+    model: &dyn CardinalityEstimator,
+    requested: Precision,
+    probes: &[&[f64]],
+    tolerance: f64,
+) -> Gated {
+    let candidate = quantize_for_serving(model, requested)
+        .map(|q| Box::new(q) as Box<dyn CardinalityEstimator>);
+    gate_and_choose(model, candidate, requested, probes, tolerance)
+}
+
+/// [`quantize_and_gate`] for callers that already hold `model`'s f64 serving
+/// copy: `full_snapshot` serves when the quantized candidate may not.
 pub fn prepare_serving_model(
     model: &dyn CardinalityEstimator,
     full_snapshot: Box<dyn CardinalityEstimator>,
@@ -89,9 +111,8 @@ pub fn prepare_serving_model(
     probes: &[&[f64]],
     tolerance: f64,
 ) -> (Box<dyn CardinalityEstimator>, Precision, QuantOutcome) {
-    let candidate = quantize_for_serving(model, requested)
-        .map(|q| Box::new(q) as Box<dyn CardinalityEstimator>);
-    gate_and_choose(full_snapshot, candidate, requested, probes, tolerance)
+    let (chosen, served, outcome) = quantize_and_gate(model, requested, probes, tolerance);
+    (chosen.unwrap_or(full_snapshot), served, outcome)
 }
 
 /// Stride-samples up to [`MAX_PROBES`] probe feature vectors from the query

@@ -1,19 +1,33 @@
-//! Golden fixture for the fleet's per-shard state-directory layout
-//! (`tests/fixtures/fleet_layout_v1/`).
+//! Golden fixtures for the fleet's per-shard state-directory layout
+//! (`tests/fixtures/fleet_layout_v1/` and `tests/fixtures/fleet_layout_v2/`).
 //!
 //! A fleet lays its durable state out as one subdirectory per shard, named
 //! [`ShardKey::dir_name`] (`shard-{tenant}-{table}`, non `[A-Za-z0-9_-]`
 //! chars mapped to `_`), each holding an independent WAL/checkpoint lineage
-//! in `warper-durable`'s on-disk format. This fixture pins both layers:
+//! in `warper-durable`'s on-disk format. The fixtures pin both layers:
 //! the directory naming (including sanitization) and the byte format, by
 //! committing a tiny two-shard state directory and asserting a current
 //! build recovers every shard from those exact bytes.
 //!
-//! Any change to the naming scheme or the durable byte format breaks the
-//! load test below and requires a `fleet_layout_v2` fixture plus migration
-//! notes — that is the point.
+//! * `fleet_layout_v1` — snapshots in the `WARPSNP1` format (both frames one
+//!   JSON text), as every build before the binary image wrote them. Never
+//!   regenerated: it is what an existing deployment's disk holds.
+//! * `fleet_layout_v2` — the same lineages as the current build writes them:
+//!   `WARPSNP4` snapshots (frames are `linalg::bulk` images), WAL unchanged.
 //!
-//! Regenerate (after a deliberate format bump only):
+//! Migration notes, v1 → v2. Nothing to run: the reader loads both snapshot
+//! formats and the WAL format is shared, so a v1 directory opens as it is
+//! and becomes v2 at its next checkpoint (the older snapshot stays as
+//! last-known-good until the one after). There is no way back: a build from
+//! before the change refuses `WARPSNP4` files as corrupt, so roll a fleet
+//! forward shard by shard, not back. A standby must be upgraded before its
+//! primary, since it vets each shipped checkpoint with its own reader.
+//!
+//! Any further change to the naming scheme or the durable byte format breaks
+//! the load tests below and requires a `fleet_layout_v3` fixture plus
+//! migration notes — that is the point.
+//!
+//! Regenerate the newest layout (after a deliberate format bump only):
 //! `cargo test -p warper-serve --test fleet_layout_fixture -- --ignored`
 
 use std::collections::HashSet;
@@ -23,9 +37,10 @@ use warper_core::{WarperConfig, WarperController, WarperState};
 use warper_durable::{DurabilityConfig, DurableStore, MemVfs, Vfs};
 use warper_serve::ShardKey;
 
+/// Where the regenerator writes: the layout the current build produces.
 const FIXTURE_DIR: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/fleet_layout_v1"
+    "/tests/fixtures/fleet_layout_v2"
 );
 
 /// The two pinned shards; the second exercises name sanitization.
@@ -101,7 +116,7 @@ const SHARD_FILES: [&str; 4] = [
 ];
 
 /// Regenerates the committed fixture. `#[ignore]`d: run only after a
-/// deliberate format change, then commit the new `fleet_layout_v2`.
+/// deliberate format change, into a new `fleet_layout_v<n>`.
 #[test]
 #[ignore = "regenerates the committed fixture; run by hand after a format bump"]
 fn regenerate_fleet_layout_fixture() {
@@ -126,54 +141,49 @@ fn regenerate_fleet_layout_fixture() {
     std::fs::write(format!("{FIXTURE_DIR}/MANIFEST.txt"), manifest).expect("manifest");
 }
 
-/// The committed fixture bytes for one shard, keyed by file name.
-fn pinned_shard(i: usize) -> [(&'static str, &'static [u8]); 4] {
+/// The committed fixture bytes for one shard of one layout, keyed by file
+/// name.
+fn pinned_shard(layout: &str, i: usize) -> [(&'static str, &'static [u8]); 4] {
+    macro_rules! file {
+        ($layout:literal, $dir:literal, $name:literal) => {
+            include_bytes!(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/fixtures/",
+                $layout,
+                "/",
+                $dir,
+                "/",
+                $name
+            )) as &[u8]
+        };
+    }
     macro_rules! shard_dir {
-        ($dir:literal) => {
+        ($layout:literal, $dir:literal) => {
             [
-                (
-                    SHARD_FILES[0],
-                    include_bytes!(concat!(
-                        env!("CARGO_MANIFEST_DIR"),
-                        "/tests/fixtures/fleet_layout_v1/",
-                        $dir,
-                        "/snap-00000001.ckpt"
-                    )) as &[u8],
-                ),
-                (
-                    SHARD_FILES[1],
-                    include_bytes!(concat!(
-                        env!("CARGO_MANIFEST_DIR"),
-                        "/tests/fixtures/fleet_layout_v1/",
-                        $dir,
-                        "/snap-00000002.ckpt"
-                    )),
-                ),
-                (
-                    SHARD_FILES[2],
-                    include_bytes!(concat!(
-                        env!("CARGO_MANIFEST_DIR"),
-                        "/tests/fixtures/fleet_layout_v1/",
-                        $dir,
-                        "/wal-00000001.log"
-                    )),
-                ),
-                (
-                    SHARD_FILES[3],
-                    include_bytes!(concat!(
-                        env!("CARGO_MANIFEST_DIR"),
-                        "/tests/fixtures/fleet_layout_v1/",
-                        $dir,
-                        "/wal-00000002.log"
-                    )),
-                ),
+                (SHARD_FILES[0], file!($layout, $dir, "snap-00000001.ckpt")),
+                (SHARD_FILES[1], file!($layout, $dir, "snap-00000002.ckpt")),
+                (SHARD_FILES[2], file!($layout, $dir, "wal-00000001.log")),
+                (SHARD_FILES[3], file!($layout, $dir, "wal-00000002.log")),
             ]
         };
     }
-    match i {
-        0 => shard_dir!("shard-acme-orders"),
-        _ => shard_dir!("shard-beta_corp-events_"),
+    match (layout, i) {
+        ("fleet_layout_v1", 0) => shard_dir!("fleet_layout_v1", "shard-acme-orders"),
+        ("fleet_layout_v1", _) => shard_dir!("fleet_layout_v1", "shard-beta_corp-events_"),
+        (_, 0) => shard_dir!("fleet_layout_v2", "shard-acme-orders"),
+        (_, _) => shard_dir!("fleet_layout_v2", "shard-beta_corp-events_"),
     }
+}
+
+/// A fresh in-memory directory holding `files`.
+fn mem_dir(files: &[(&str, &[u8])]) -> MemVfs {
+    let mem = MemVfs::new();
+    for (name, bytes) in files {
+        mem.create(name).expect("create");
+        mem.append(name, bytes).expect("append");
+        mem.fsync(name).expect("fsync");
+    }
+    mem
 }
 
 /// Post-sketch lineages round-trip: a shard whose checkpoint carries a
@@ -222,14 +232,100 @@ fn shard_dir_names_are_pinned() {
     assert_eq!(b.dir_name(), "shard-beta_corp-events_");
 }
 
-/// The byte-format layer: a current build recovers every shard from the
-/// committed bytes — right sequence, every label, no cross-shard content.
 #[test]
 fn fleet_layout_v1_fixture_recovers_every_shard() {
     let manifest = include_str!(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/fleet_layout_v1/MANIFEST.txt"
     ));
+    fixture_recovers_every_shard("fleet_layout_v1", manifest, b"WARPSNP1");
+}
+
+#[test]
+fn fleet_layout_v2_fixture_recovers_every_shard() {
+    let manifest = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/fleet_layout_v2/MANIFEST.txt"
+    ));
+    fixture_recovers_every_shard("fleet_layout_v2", manifest, b"WARPSNP4");
+}
+
+/// What the current build writes is the newest committed layout, byte for
+/// byte: the encoding is deterministic, and a format change cannot land
+/// without a new fixture.
+#[test]
+fn current_build_writes_fleet_layout_v2() {
+    for i in 0..shard_keys().len() {
+        let mem = MemVfs::new();
+        drive_shard(Arc::new(mem.clone()), i);
+        for (name, bytes) in pinned_shard("fleet_layout_v2", i) {
+            assert!(
+                mem.read(name).expect("read") == bytes,
+                "shard {i}: {name} differs from the committed fleet_layout_v2 bytes"
+            );
+        }
+    }
+}
+
+/// Mixed lineage: a directory whose last-known-good snapshot is still in the
+/// v1 format while the newest one — already written by the current build —
+/// is damaged. Recovery falls back across the format boundary, replays both
+/// WALs, and the lineage resumes in the current format.
+#[test]
+fn v1_last_known_good_under_a_corrupt_v4_newest_falls_back_and_resumes() {
+    let [_, lkg_snap, _, lkg_wal] = pinned_shard("fleet_layout_v1", 0);
+    let [_, newest, _, newest_wal] = pinned_shard("fleet_layout_v2", 0);
+    let mut damaged = newest.1.to_vec();
+    let mid = damaged.len() / 2;
+    damaged[mid] ^= 0x40;
+    let mem = mem_dir(&[
+        (lkg_snap.0, lkg_snap.1),
+        (lkg_wal.0, lkg_wal.1),
+        ("snap-00000003.ckpt", &damaged),
+        ("wal-00000003.log", newest_wal.1),
+    ]);
+
+    let (mut store, recovered) =
+        DurableStore::open(Arc::new(mem.clone()), DurabilityConfig::default())
+            .expect("falls back to the v1 snapshot");
+    let rec = recovered.expect("durable image");
+    assert_eq!(rec.report.snapshot_seq, 2);
+    assert_eq!(rec.report.corrupt_snapshots, 1);
+    assert!(lkg_snap.1.starts_with(b"WARPSNP1") && newest.1.starts_with(b"WARPSNP4"));
+    let (pre, post) = shard_labels(0);
+    let labels: HashSet<u64> = rec
+        .state
+        .pool
+        .records()
+        .iter()
+        .filter_map(|r| r.gt.map(f64::to_bits))
+        .collect();
+    for (_, gt) in pre.iter().chain(&post) {
+        assert!(labels.contains(&gt.to_bits()), "label gt={gt} lost");
+    }
+
+    // The lineage resumes: the next checkpoint replaces the damaged file
+    // with a good one in the current format, and a restart comes up from it.
+    store
+        .checkpoint(&rec.state, None)
+        .expect("checkpoint over the damaged file");
+    assert_eq!(store.seq(), 3);
+    assert!(mem
+        .read("snap-00000003.ckpt")
+        .expect("read")
+        .starts_with(b"WARPSNP4"));
+    drop(store);
+    let (_, again) =
+        DurableStore::open(Arc::new(mem), DurabilityConfig::default()).expect("reopen");
+    let again = again.expect("durable image");
+    assert_eq!(again.report.snapshot_seq, 3);
+    assert_eq!(again.report.corrupt_snapshots, 0);
+    assert_eq!(again.state.pool.len(), rec.state.pool.len());
+}
+
+/// The byte-format layer: a current build recovers every shard from the
+/// committed bytes — right sequence, every label, no cross-shard content.
+fn fixture_recovers_every_shard(layout: &str, manifest: &str, magic: &[u8; 8]) {
     let listed: Vec<&str> = manifest.lines().filter(|l| !l.is_empty()).collect();
     assert_eq!(listed.len(), 8, "manifest lists 4 files per shard");
 
@@ -243,12 +339,7 @@ fn fleet_layout_v1_fixture_recovers_every_shard() {
         }
 
         // Replay the pinned bytes into a fresh VFS and recover.
-        let mem = MemVfs::new();
-        for (name, bytes) in pinned_shard(i) {
-            mem.create(name).expect("create");
-            mem.append(name, bytes).expect("append");
-            mem.fsync(name).expect("fsync");
-        }
+        let mem = mem_dir(&pinned_shard(layout, i));
         let (store, recovered) = DurableStore::open(Arc::new(mem), DurabilityConfig::default())
             .unwrap_or_else(|e| panic!("shard {key}: pinned bytes no longer open: {e}"));
         let rec = recovered.unwrap_or_else(|| panic!("shard {key}: no durable image"));
@@ -264,22 +355,25 @@ fn fleet_layout_v1_fixture_recovers_every_shard() {
         rec.state
             .validate()
             .unwrap_or_else(|e| panic!("shard {key}: invalid state: {e}"));
-        // The committed lineage predates the sketch sidecar: its bytes must
-        // not mention it, and recovery must come up with no baseline (the
-        // sketch index rebuilds lazily from the table instead).
-        for (name, bytes) in pinned_shard(i) {
+        for (name, bytes) in pinned_shard(layout, i) {
             if name.starts_with("snap-") {
-                assert!(
-                    !bytes
-                        .windows(b"sketch_baseline".len())
-                        .any(|w| w == b"sketch_baseline"),
-                    "shard {key}: {name} is not pre-sketch"
+                assert!(bytes.starts_with(magic), "shard {key}: {name} magic");
+                // The v1 lineage predates the sketch sidecar: its bytes must
+                // not mention it. Either way recovery comes up with no
+                // baseline (the sketch index rebuilds lazily from the table).
+                let mentions_sketch = bytes
+                    .windows(b"sketch_baseline".len())
+                    .any(|w| w == b"sketch_baseline");
+                assert_eq!(
+                    mentions_sketch,
+                    layout != "fleet_layout_v1",
+                    "shard {key}: {name}"
                 );
             }
         }
         assert!(
             rec.state.sketch_baseline.is_none(),
-            "shard {key}: pre-sketch image must recover without a baseline"
+            "shard {key}: an image without a baseline must recover without one"
         );
 
         let have: HashSet<(Vec<u64>, u64)> = rec

@@ -391,12 +391,13 @@ proptest! {
                 }
 
                 let (chosen, served, outcome) = gate_and_choose(
-                    full.snapshot().expect("toy snapshots"),
+                    &full,
                     Some(Box::new(candidate)),
                     Precision::F32,
                     &refs,
                     TOL,
                 );
+                let chosen = chosen.unwrap_or_else(|| full.snapshot().expect("toy snapshots"));
                 if should_pass {
                     assert!(
                         matches!(outcome, QuantOutcome::Quantized(d) if d <= 1.0 + TOL),

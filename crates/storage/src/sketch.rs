@@ -44,6 +44,7 @@ use std::collections::BTreeMap;
 
 use serde::json::{self, Parser};
 use serde::{Deserialize, Serialize};
+use warper_linalg::bulk::{Bulk, Runs};
 
 use crate::column::Column;
 use crate::zonemap::{DirtySet, BLOCK_ROWS};
@@ -338,6 +339,28 @@ impl DistinctSketch {
             }
         }
         Ok(())
+    }
+}
+
+/// The dense register array is the sketch's one bulk run; sparse codes and
+/// heavy-hitter counters are small and stay in the skeleton.
+impl Bulk for DistinctSketch {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        if let Repr::Dense(regs) = &mut self.repr {
+            v.u8s(regs);
+        }
+    }
+}
+
+impl Bulk for ColumnSketch {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.distinct.runs(v);
+    }
+}
+
+impl Bulk for TableSketch {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.cols.runs(v);
     }
 }
 

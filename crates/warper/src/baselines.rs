@@ -17,7 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
+use warper_ce::{estimate_all, CardinalityEstimator, LabeledExample, UpdateKind};
 use warper_linalg::sampling::standard_normal;
 use warper_metrics::{q_error, PAPER_THETA};
 
@@ -391,9 +391,10 @@ impl AdaptStrategy for HemStrategy {
         let (mut fresh, mut annotated, mut annotation_failed) =
             labeled_from_arrived(arrived, None, &mut self.rng, annotate);
         // Weight the labeled arrivals by current model error.
-        let weights: Vec<f64> = fresh
-            .iter()
-            .map(|e| q_error(model.estimate(&e.features), e.card, PAPER_THETA))
+        let weights: Vec<f64> = estimate_all(&*model, fresh.iter().map(|e| e.features.as_slice()))
+            .into_iter()
+            .zip(&fresh)
+            .map(|(est, e)| q_error(est, e.card, PAPER_THETA))
             .collect();
         let total: f64 = weights.iter().sum();
         let n_g = (self.gen_frac * arrived.len() as f64).floor() as usize;

@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
+use warper_ce::{estimate_all, CardinalityEstimator, LabeledExample, UpdateKind};
 use warper_linalg::sampling::standard_normal;
 use warper_metrics::{gmq, PAPER_THETA};
 use warper_nn::DivergenceError;
@@ -308,8 +308,9 @@ impl WarperController {
         self.recent_eval = rt.recent_eval.clone();
     }
 
-    /// A clone of the RNG at its current position (checkpointing).
-    pub(crate) fn rng_snapshot(&self) -> StdRng {
+    /// A clone of the RNG at its current position (checkpointing; tests
+    /// compare it across runs that must draw identically).
+    pub fn rng_snapshot(&self) -> StdRng {
         self.rng.clone()
     }
 
@@ -365,28 +366,28 @@ impl WarperController {
         self.sketch_baseline = baseline;
     }
 
+    /// `model`'s estimates over the rolling evaluation window, in one batched
+    /// forward pass (empty when the window is).
+    pub fn eval_estimates(&self, model: &dyn CardinalityEstimator) -> Vec<f64> {
+        estimate_all(model, self.recent_eval.iter().map(|(f, _)| f.as_slice()))
+    }
+
+    /// GMQ of `ests` (one per window entry, as [`Self::eval_estimates`]
+    /// returns them) against the window's labels. `None` when the window is
+    /// empty.
+    pub fn eval_gmq_of(&self, ests: &[f64]) -> Option<f64> {
+        if self.recent_eval.is_empty() {
+            return None;
+        }
+        let actuals: Vec<f64> = self.recent_eval.iter().map(|(_, a)| *a).collect();
+        Some(gmq(ests, &actuals, PAPER_THETA))
+    }
+
     /// `model`'s GMQ on the controller's rolling evaluation window — the
     /// quantity the supervisor compares across a checkpoint boundary. `None`
     /// when the window is empty.
     pub fn eval_gmq(&self, model: &dyn CardinalityEstimator) -> Option<f64> {
-        if self.recent_eval.is_empty() {
-            return None;
-        }
-        let ests: Vec<f64> = self
-            .recent_eval
-            .iter()
-            .map(|(f, _)| model.estimate(f))
-            .collect();
-        let actuals: Vec<f64> = self.recent_eval.iter().map(|(_, a)| *a).collect();
-        Some(gmq(&ests, &actuals, PAPER_THETA))
-    }
-
-    /// `true` when `model` produces a finite estimate for every query in the
-    /// rolling evaluation window (trivially `true` on an empty window).
-    pub fn estimates_finite(&self, model: &dyn CardinalityEstimator) -> bool {
-        self.recent_eval
-            .iter()
-            .all(|(f, _)| model.estimate(f).is_finite())
+        self.eval_gmq_of(&self.eval_estimates(model))
     }
 
     /// Runs one risky internal-module training task with all-or-nothing
@@ -792,17 +793,7 @@ impl WarperController {
         };
 
         // Early stop + γ tuning (§3.4).
-        let eval_gmq = if self.recent_eval.is_empty() {
-            None
-        } else {
-            let ests: Vec<f64> = self
-                .recent_eval
-                .iter()
-                .map(|(f, _)| model.estimate(f))
-                .collect();
-            let actuals: Vec<f64> = self.recent_eval.iter().map(|(_, a)| *a).collect();
-            Some(gmq(&ests, &actuals, PAPER_THETA))
-        };
+        let eval_gmq = self.eval_gmq(model);
         let mut early_stopped = false;
         if let (Some(prev), Some(cur)) = (self.prev_eval_gmq, eval_gmq) {
             let gain = prev - cur;

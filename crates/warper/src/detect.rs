@@ -10,7 +10,7 @@
 //! comparing against γ.
 
 use rand::rngs::StdRng;
-use warper_ce::CardinalityEstimator;
+use warper_ce::{estimate_all, CardinalityEstimator};
 use warper_metrics::{gmq, PAPER_THETA};
 use warper_query::{Annotator, RangePredicate};
 use warper_storage::Table;
@@ -449,7 +449,7 @@ impl DriftDetector {
         let delta_m = if recent.is_empty() {
             0.0
         } else {
-            let ests: Vec<f64> = recent.iter().map(|(f, _)| model.estimate(f)).collect();
+            let ests = estimate_all(model, recent.iter().map(|(f, _)| f.as_slice()));
             let actuals: Vec<f64> = recent.iter().map(|(_, a)| *a).collect();
             (gmq(&ests, &actuals, PAPER_THETA) - self.baseline_gmq).max(0.0)
         };

@@ -25,6 +25,12 @@ pub struct Encoder {
     feature_dim: usize,
 }
 
+impl warper_linalg::bulk::Bulk for Encoder {
+    fn runs(&mut self, v: &mut dyn warper_linalg::bulk::Runs) {
+        self.net.runs(v);
+    }
+}
+
 impl Encoder {
     /// Creates an encoder for `feature_dim`-dimensional predicates with the
     /// given hidden width and embedding size.

@@ -8,7 +8,7 @@
 //! measure held-out GMQ, and return the size at which adding more data stops
 //! paying.
 
-use warper_ce::{CardinalityEstimator, LabeledExample};
+use warper_ce::{estimate_all, CardinalityEstimator, LabeledExample};
 use warper_metrics::{gmq, PAPER_THETA};
 
 /// One point on the learning curve.
@@ -55,10 +55,10 @@ pub fn estimate_gamma(
         let size = raw_size.min(corpus.len()).max(1);
         let mut model = make_model();
         model.fit(&corpus[..size]);
-        let ests: Vec<f64> = holdout
-            .iter()
-            .map(|e| model.estimate(&e.features))
-            .collect();
+        let ests = estimate_all(
+            model.as_ref(),
+            holdout.iter().map(|e| e.features.as_slice()),
+        );
         curve.push(LearningCurvePoint {
             train_size: size,
             gmq: gmq(&ests, &actuals, PAPER_THETA),

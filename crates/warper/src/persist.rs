@@ -8,6 +8,7 @@
 //! moments, RNG position, the rolling evaluation window).
 
 use serde::{Deserialize, Serialize};
+use warper_linalg::bulk::{Bulk, Runs};
 use warper_nn::Mlp;
 
 use crate::config::WarperConfig;
@@ -42,8 +43,10 @@ pub struct RuntimeState {
 /// Version 3 added the optional `sketch_baseline` section (the mergeable
 /// drift-telemetry sketches ride the checkpoint path); pre-sketch snapshots
 /// load with `sketch_baseline: None` and the probe re-baselines lazily from
-/// the live table.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// the live table. Version 4 has the same fields: it marks the states the
+/// durable store writes as a [`warper_linalg::bulk`] image (the [`Bulk`] impl
+/// below names the runs that leave the JSON) instead of one JSON text.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Oldest snapshot format this build still loads. Version 1 is the
 /// pre-versioning format: those snapshots carry no `version` field and
@@ -86,6 +89,21 @@ pub struct WarperState {
     /// the live table, exactly like a fresh probe.
     #[serde(default)]
     pub sketch_baseline: Option<warper_storage::TableSketch>,
+}
+
+impl Bulk for WarperState {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        self.pool.runs(v);
+        self.encoder.runs(v);
+        self.generator.runs(v);
+        self.discriminator.runs(v);
+        if let Some(rt) = &mut self.runtime {
+            for (features, _) in &mut rt.recent_eval {
+                v.f64s(features, None);
+            }
+        }
+        self.sketch_baseline.runs(v);
+    }
 }
 
 impl WarperState {

@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use warper_ce::CardinalityEstimator;
+use warper_ce::{estimate_all, CardinalityEstimator};
 use warper_metrics::{q_error, PAPER_THETA};
 
 use crate::config::WarperConfig;
@@ -142,14 +142,22 @@ impl Picker {
             let weights = vec![1.0; candidates.len()];
             return weighted_sample_multiset(candidates, &weights, n, rng);
         }
-        let mut ref_errors: Vec<(usize, f64)> = references
-            .iter()
-            .filter_map(|&i| {
-                let r = &pool.records()[i];
-                let est = model.estimate(&r.features);
-                r.gt.map(|gt| (i, q_error(est, gt, PAPER_THETA)))
-            })
-            .collect();
+        // One batched pass over the references; `err_of[i]` is pool record
+        // `i`'s q-error (unset for unlabeled records).
+        let ests = estimate_all(
+            model,
+            references
+                .iter()
+                .map(|&i| pool.records()[i].features.as_slice()),
+        );
+        let mut err_of = vec![f64::NAN; pool.len()];
+        let mut ref_errors: Vec<(usize, f64)> = Vec::with_capacity(references.len());
+        for (&i, est) in references.iter().zip(ests) {
+            if let Some(gt) = pool.records()[i].gt {
+                err_of[i] = q_error(est, gt, PAPER_THETA);
+                ref_errors.push((i, err_of[i]));
+            }
+        }
         ref_errors.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let k = self.buckets.min(ref_errors.len());
         let bucket_of_ref: std::collections::HashMap<usize, usize> = ref_errors
@@ -162,10 +170,10 @@ impl Picker {
         let mut bucket_members: Vec<Vec<usize>> = vec![Vec::new(); k];
         for &c in candidates {
             let rec = &pool.records()[c];
-            let bucket = if let Some(gt) = rec.gt {
-                // Candidate has a (stale) label: bucket by its own error.
-                let err = q_error(model.estimate(&rec.features), gt, PAPER_THETA);
-                rank_bucket(&ref_errors, err, k)
+            let bucket = if rec.gt.is_some() {
+                // Candidate has a (stale) label, so it is itself a reference:
+                // bucket by its own error from the pass above.
+                rank_bucket(&ref_errors, err_of[c], k)
             } else if let Some(z) = &rec.z {
                 // kNN over reference embeddings.
                 knn_bucket(pool, &references, &bucket_of_ref, z, self.knn)

@@ -8,6 +8,8 @@
 //! discriminator writes the predicted source `l'` and its confidence `s'`,
 //! and the annotator writes `gt`.
 
+use warper_linalg::bulk::{Bulk, Runs};
+
 /// The source label `l` of a pool record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Source {
@@ -63,6 +65,102 @@ pub struct PoolRecord {
     /// True when `gt` was computed before the latest data drift and is
     /// therefore stale (drift c1 marks all labels outdated).
     pub gt_stale: bool,
+}
+
+/// Bytes of one record's header in the pool's byte run: a flags byte (the
+/// source's class index in the low two bits, then the bits below), the
+/// predicted source (0 = none, else class index + 1), and the lengths of
+/// `features` and `z` as `u32` LE.
+const HEAD: usize = 10;
+const HAS_GT: u8 = 1 << 2;
+const HAS_Z: u8 = 1 << 3;
+const HAS_SCORE: u8 = 1 << 4;
+const HAS_ENTROPY: u8 = 1 << 5;
+const GT_STALE: u8 = 1 << 6;
+
+/// The pool leaves the JSON skeleton whole — thousands of records at eight
+/// keys each are most of a small model's image — as two runs: a [`HEAD`]-byte
+/// header per record, and per record its `features`, `z`, `gt`, `score` and
+/// `entropy` (those that are present) back to back.
+impl Bulk for QueryPool {
+    fn runs(&mut self, v: &mut dyn Runs) {
+        // Written, the columns come back drained and the pool is left empty;
+        // read, they come back filled and the records are rebuilt from them.
+        let (mut heads, mut values) = self.drain_columns();
+        v.u8s(&mut heads);
+        v.f64s(&mut values, None);
+        match Self::records_from_columns(&heads, &values) {
+            Some(records) => self.records = records,
+            None => v.reject("pool columns do not describe a pool"),
+        }
+    }
+}
+
+impl QueryPool {
+    fn drain_columns(&mut self) -> (Vec<u8>, Vec<f64>) {
+        let mut heads = Vec::with_capacity(self.records.len() * HEAD);
+        let mut values = Vec::new();
+        for r in self.records.drain(..) {
+            let z = r.z.as_deref().unwrap_or_default();
+            let mut flags = r.source.class_index() as u8;
+            for (present, bit) in [
+                (r.gt.is_some(), HAS_GT),
+                (r.z.is_some(), HAS_Z),
+                (r.score.is_some(), HAS_SCORE),
+                (r.entropy.is_some(), HAS_ENTROPY),
+                (r.gt_stale, GT_STALE),
+            ] {
+                flags |= if present { bit } else { 0 };
+            }
+            heads.push(flags);
+            heads.push(r.predicted.map_or(0, |s| s.class_index() as u8 + 1));
+            // A run cannot hold 4 Gi elements: a saturated length fails the
+            // read instead of wrapping into a different pool.
+            for len in [r.features.len(), z.len()] {
+                heads.extend_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
+            }
+            values.extend_from_slice(&r.features);
+            values.extend_from_slice(z);
+            values.extend([r.gt, r.score, r.entropy].into_iter().flatten());
+        }
+        (heads, values)
+    }
+
+    /// The inverse of [`Self::drain_columns`]; `None` when the columns are
+    /// not ones it could have produced (outside bytes). Allocates no more
+    /// than the columns hold.
+    fn records_from_columns(heads: &[u8], values: &[f64]) -> Option<Vec<PoolRecord>> {
+        let source = |class: u8| (class < 3).then(|| Source::from_class_index(class.into()));
+        let mut rest = values;
+        let mut records = Vec::with_capacity(heads.len() / HEAD);
+        for h in heads.chunks(HEAD) {
+            let &[flags, predicted, f0, f1, f2, f3, z0, z1, z2, z3] = h else {
+                return None;
+            };
+            let features = rest
+                .split_off(..u32::from_le_bytes([f0, f1, f2, f3]) as usize)?
+                .to_vec();
+            let z = rest.split_off(..u32::from_le_bytes([z0, z1, z2, z3]) as usize)?;
+            let mut one = |present: u8| match flags & present {
+                0 => Some(None),
+                _ => rest.split_off_first().map(|v| Some(*v)),
+            };
+            records.push(PoolRecord {
+                features,
+                z: (flags & HAS_Z != 0).then(|| z.to_vec()),
+                gt: one(HAS_GT)?,
+                score: one(HAS_SCORE)?,
+                entropy: one(HAS_ENTROPY)?,
+                source: source(flags & 0b11)?,
+                predicted: match predicted {
+                    0 => None,
+                    class => Some(source(class - 1)?),
+                },
+                gt_stale: flags & GT_STALE != 0,
+            });
+        }
+        rest.is_empty().then_some(records)
+    }
 }
 
 impl PoolRecord {
@@ -260,6 +358,53 @@ mod tests {
         p.append_new(&[(vec![0.5, 0.6], Some(50.0)), (vec![0.7, 0.8], None)]);
         p.append_gen(vec![vec![0.9, 1.0]]);
         p
+    }
+
+    #[test]
+    fn columns_roundtrip_every_field_and_reject_what_they_could_not_have_written() {
+        let mut pool = example_pool();
+        {
+            let recs = pool.records_mut();
+            recs[0].z = Some(vec![-0.0, 1e-310, 3.5]);
+            recs[0].predicted = Some(Source::Gen);
+            recs[0].score = Some(0.25);
+            recs[1].entropy = Some(1.5);
+            recs[1].gt_stale = true;
+            recs[2].z = Some(Vec::new());
+            recs[3].predicted = Some(Source::Train);
+            recs[4].features.clear();
+        }
+        let json = serde_json::to_string(&pool).unwrap();
+        let (heads, values) = pool.clone().drain_columns();
+        assert_eq!(heads.len(), pool.len() * HEAD);
+        let rebuilt = QueryPool {
+            records: QueryPool::records_from_columns(&heads, &values).expect("own columns"),
+        };
+        assert_eq!(serde_json::to_string(&rebuilt).unwrap(), json);
+        let bits = |p: &QueryPool| -> Vec<u64> {
+            let zs = p.records().iter().flat_map(|r| r.z.iter().flatten());
+            zs.map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&rebuilt), bits(&pool), "-0.0 and subnormals survive");
+        assert_eq!(
+            QueryPool::records_from_columns(&[], &[]).map(|r| r.len()),
+            Some(0)
+        );
+
+        // A torn header, missing or surplus values, a source that is none.
+        let refuse = |h: &[u8], v: &[f64]| QueryPool::records_from_columns(h, v).is_none();
+        assert!(refuse(&heads[..heads.len() - 1], &values));
+        assert!(refuse(&heads, &values[..values.len() - 1]));
+        assert!(refuse(&heads, &[values.as_slice(), &[0.0]].concat()));
+        let mut bad = heads.clone();
+        bad[0] |= 0b11;
+        assert!(refuse(&bad, &values));
+        bad = heads.clone();
+        bad[1] = 4;
+        assert!(refuse(&bad, &values));
+        bad = heads.clone();
+        bad[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(refuse(&bad, &values));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use warper_ce::lm::{KrrVariant, LmGbt, LmKrr, LmMlp, LmMlpParams};
 use warper_ce::mscn::{Mscn, MscnFeaturizer};
-use warper_ce::{CardinalityEstimator, LabeledExample};
+use warper_ce::{estimate_all, CardinalityEstimator, LabeledExample};
 use warper_metrics::{delta_js, gmq, AdaptationCurve, PAPER_THETA};
 use warper_nn::GbtParams;
 use warper_query::{
@@ -480,10 +480,8 @@ pub fn prepare_single_table(
 
     let base_preds = train_gen.generate_many((n_train / 8).clamp(50, 150), &mut rng);
     let base_cards = annotator.count_batch(table, &base_preds);
-    let ests: Vec<f64> = base_preds
-        .iter()
-        .map(|p| model.estimate(&fmap.featurize(p)))
-        .collect();
+    let base_feats: Vec<Vec<f64>> = base_preds.iter().map(|p| fmap.featurize(p)).collect();
+    let ests = estimate_all(model.as_ref(), base_feats.iter().map(Vec::as_slice));
     let actuals: Vec<f64> = base_cards.iter().map(|&c| c as f64).collect();
     let baseline_gmq = gmq(&ests, &actuals, PAPER_THETA);
 
@@ -552,10 +550,8 @@ pub fn run_single_table(
     let base_preds = train_gen.generate_many(cfg.n_test.min(150), &mut rng);
     let base_cards = annotator.count_batch(&table, &base_preds);
     let baseline_gmq = {
-        let ests: Vec<f64> = base_preds
-            .iter()
-            .map(|p| model.estimate(&fmap.featurize(p)))
-            .collect();
+        let base_feats: Vec<Vec<f64>> = base_preds.iter().map(|p| fmap.featurize(p)).collect();
+        let ests = estimate_all(model.as_ref(), base_feats.iter().map(Vec::as_slice));
         let actuals: Vec<f64> = base_cards.iter().map(|&c| c as f64).collect();
         gmq(&ests, &actuals, PAPER_THETA)
     };
@@ -576,7 +572,7 @@ pub fn run_single_table(
     let test_cards = annotator.count_batch(&table, &test_preds);
     let test_feats: Vec<Vec<f64>> = test_preds.iter().map(|p| fmap.featurize(p)).collect();
     let eval = |model: &dyn CardinalityEstimator| {
-        let ests: Vec<f64> = test_feats.iter().map(|f| model.estimate(f)).collect();
+        let ests = estimate_all(model, test_feats.iter().map(Vec::as_slice));
         let actuals: Vec<f64> = test_cards.iter().map(|&c| c as f64).collect();
         gmq(&ests, &actuals, PAPER_THETA)
     };

@@ -191,13 +191,16 @@ impl Supervisor {
         if self.cfg.rollback_on_training_failure && report.training_error.is_some() {
             return Some(RollbackReason::TrainingFailure);
         }
-        if !ctl.estimates_finite(model) {
+        // The updated model sees the post-invoke window once: the finite
+        // check and its GMQ read the same estimates.
+        let ests = ctl.eval_estimates(model);
+        if ests.iter().any(|e| !e.is_finite()) {
             return Some(RollbackReason::NonFiniteEstimate);
         }
         // Apples-to-apples regression check: both models on the post-invoke
         // window. Skipped when the model cannot snapshot (no reference) or
         // the window is empty (nothing to compare).
-        let after = ctl.eval_gmq(model)?;
+        let after = ctl.eval_gmq_of(&ests)?;
         let before = ctl.eval_gmq(model_ck?)?;
         if !after.is_finite() || after > before * (1.0 + self.cfg.gmq_tolerance) {
             return Some(RollbackReason::GmqRegression { before, after });

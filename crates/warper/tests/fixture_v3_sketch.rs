@@ -31,7 +31,13 @@ fn fixture_state() -> WarperState {
     let mut ctl = WarperController::new(4, &training, 1.5, cfg, 42);
     let table = generate(DatasetKind::Prsa, FIXTURE_ROWS, 9);
     ctl.set_sketch_baseline(Some(table.table_sketch().as_ref().clone()));
-    ctl.to_state()
+    // The file pins a version-3 image. A current controller stamps 4 — the
+    // same fields, marking the states the durable store writes as binary
+    // images — so the v3 bytes are those of this state stamped 3.
+    WarperState {
+        version: 3,
+        ..ctl.to_state()
+    }
 }
 
 #[test]
