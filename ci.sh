@@ -53,12 +53,14 @@ echo "== cargo check benchmark/ (the serving API it is written against)"
 cargo check -q --offline --release --manifest-path benchmark/Cargo.toml
 
 # One serving core: crates/serve + the CLI were cut to one core, one adapt
-# step, one replay harness. Keep the saving from silently eroding — raise
-# this number only with a reason in the commit.
+# step, one replay harness (PR 14: 7 969 lines), then to one owner each for
+# shard bring-up, the replica-directory protocol and the load generator
+# (PR 23: 7 771). Keep the saving from silently eroding — raise this number
+# only with a reason in the commit.
 echo "== lint: serve + CLI line budget"
 serve_lines=$(find crates/serve/src src/bin -name '*.rs' | xargs cat | wc -l)
-if [ "$serve_lines" -gt 8000 ]; then
-    echo "crates/serve/src + src/bin hold $serve_lines lines, budget is 8000" >&2
+if [ "$serve_lines" -gt 7800 ]; then
+    echo "crates/serve/src + src/bin hold $serve_lines lines, budget is 7800" >&2
     exit 1
 fi
 
@@ -71,23 +73,21 @@ cargo test -q --offline --workspace
 echo "== cargo test -q --release -p warper-storage"
 cargo test -q --offline --release -p warper-storage
 
-# Chaos/property suites: fault injection and snapshot corruption.
+# Chaos/property suites: fault injection and snapshot corruption. With the
+# feature on, this one leg also builds and runs the three sweeps:
+# * crash-recovery proptests (warper-durable `crash_recovery`): kill the
+#   store at every schedulable failpoint (power cut, torn write, short
+#   write, op error) and prove every acknowledged label survives recovery;
+# * replica-install sweep (warper-durable `replica_install`): the same four
+#   faults at every op of a standby installing a shipped sequence, and every
+#   label at or below the acknowledged watermark survives;
+# * network failover proptests (warper-serve `net_failover`): cut / delay /
+#   torn-write / garbage the replication link at every op for every fault
+#   kind and prove every replicated-acked label survives failover from the
+#   standby's directory, promotion stays gated on a validated checkpoint,
+#   and clients get typed errors (never hangs) across link faults.
 echo "== cargo test -q --features faults"
 cargo test -q --offline --workspace --features faults
-
-# Crash-recovery proptests: kill the store at every schedulable failpoint
-# (power cut, torn write, short write, op error) and prove every
-# acknowledged label survives recovery.
-echo "== crash-recovery proptests (warper-durable, faults feature)"
-cargo test -q --offline -p warper-durable --features faults --test crash_recovery
-
-# Network failover proptests: cut / delay / torn-write / garbage the
-# replication link at every op for every fault kind and prove every
-# replicated-acked label survives failover from the standby's directory,
-# promotion stays gated on a validated checkpoint, and clients get typed
-# errors (never hangs) across link faults.
-echo "== network failover proptests (warper-serve, faults feature)"
-cargo test -q --offline -p warper-serve --features faults --test net_failover
 
 # Portable-path kernel equivalence: the workspace builds with
 # target-cpu=native (.cargo/config.toml), so the SIMD tiers are compiled

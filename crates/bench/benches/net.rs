@@ -27,10 +27,10 @@ use warper_core::runner::ModelKind;
 use warper_core::WarperConfig;
 use warper_durable::MemVfs;
 use warper_serve::net::{
-    run_net_loadgen, AckLevel, AckMode, EstimateClient, NetLoadSpec, PrimaryNode, PrimarySpec,
-    RetryPolicy, StandbyConfig, StandbyNode, TcpDialer,
+    AckLevel, AckMode, EstimateClient, PrimaryNode, PrimarySpec, RetryPolicy, StandbyConfig,
+    StandbyNode, TcpDialer,
 };
-use warper_serve::FleetConfig;
+use warper_serve::{run_net_loadgen, FleetConfig, NetLoadSpec};
 use warper_storage::{generate, DatasetKind};
 
 const REPL_APPENDS: usize = 300;

@@ -38,9 +38,8 @@ pub mod wal;
 pub use model_blob::ModelBlob;
 pub use scoped::{ScopedVfs, SCOPE_SEP};
 pub use store::{
-    decode_snapshot, encode_snapshot, snap_file_name, wal_file_name, DurabilityConfig,
-    DurabilityStats, DurableEvent, DurableStore, DurableTap, LoadedSnapshot, Recovered,
-    RecoveryReport,
+    decode_snapshot, encode_snapshot, DurabilityConfig, DurabilityStats, DurableEvent,
+    DurableStore, DurableTap, LoadedSnapshot, Recovered, RecoveryReport, ReplicaDir,
 };
 pub use vfs::{FailKind, FailPlan, FailpointVfs, MemVfs, StdVfs, Vfs, VfsError};
 pub use wal::{validate_wal_frame, WalRecord, WalWriter};

@@ -68,7 +68,7 @@ use warper_core::WarperState;
 use crate::frame::{decode_frame, encode_frame, write_frame, FrameDecode, MAX_FRAME_LEN};
 use crate::model_blob::ModelBlob;
 use crate::vfs::Vfs;
-use crate::wal::{is_not_found, read_wal, WalRecord, WalWriter};
+use crate::wal::{is_not_found, read_wal, validate_wal_frame, WalReadout, WalRecord, WalWriter};
 use crate::DurabilityError;
 
 /// Magic prefix of the snapshot files this build writes: both frames are
@@ -89,18 +89,6 @@ fn tmp_snap_name(seq: u64) -> String {
 
 fn wal_name(seq: u64) -> String {
     format!("wal-{seq:08}.log")
-}
-
-/// File name of the checkpoint at `seq` — public so a replication standby
-/// can mirror the primary's on-disk layout exactly (promotion then reuses
-/// the unmodified [`DurableStore::open`] recovery path).
-pub fn snap_file_name(seq: u64) -> String {
-    snap_name(seq)
-}
-
-/// File name of the WAL rotated at checkpoint `seq` (see [`snap_file_name`]).
-pub fn wal_file_name(seq: u64) -> String {
-    wal_name(seq)
 }
 
 fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
@@ -312,22 +300,10 @@ impl DurableStore {
         // directory entries persisted independently (real filesystems may
         // durably publish the snapshot rename without the WAL creation);
         // recreate it empty.
-        let wname = wal_name(seq);
-        let mut tail = Vec::new();
-        let wal = match read_wal(vfs.as_ref(), &wname) {
-            Ok(readout) => {
-                wal_records_replayed += apply_wal_records(&mut state, &readout.records);
-                wal_truncated |= readout.truncated;
-                tail = readout.records.clone();
-                WalWriter::resume(vfs.as_ref(), &wname, &readout)?
-            }
-            Err(ref e) if is_not_found(e) => {
-                let w = WalWriter::create(vfs.as_ref(), &wname)?;
-                vfs.sync_dir()?;
-                w
-            }
-            Err(e) => return Err(e),
-        };
+        let (wal, readout) = open_wal(vfs.as_ref(), seq)?;
+        wal_records_replayed += apply_wal_records(&mut state, &readout.records);
+        wal_truncated |= readout.truncated;
+        let mut tail = readout.records;
         for later in later_wals {
             match read_wal(vfs.as_ref(), &wal_name(later)) {
                 Ok(readout) => {
@@ -579,22 +555,118 @@ impl DurableStore {
         }
         barrier?;
 
-        // Retention: keep <next> and its last-known-good predecessor;
-        // everything older goes (best-effort — strays are harmless and
-        // re-collected on the next open or checkpoint).
-        let keep_from = next.saturating_sub(1);
-        if let Ok(names) = self.vfs.list() {
-            for name in names {
-                let old = parse_seq(&name, "snap-", ".ckpt")
-                    .or_else(|| parse_seq(&name, "wal-", ".log"))
-                    .is_some_and(|s| s < keep_from);
-                if old {
-                    let _ = self.vfs.remove(&name);
-                }
-            }
-            let _ = self.vfs.sync_dir();
-        }
+        retire_before(self.vfs.as_ref(), next);
         Ok(())
+    }
+}
+
+/// Retention after checkpoint `newest` is published: keep it and its
+/// last-known-good predecessor; every older snapshot and WAL goes
+/// (best-effort — strays are harmless and re-collected on the next open or
+/// checkpoint).
+fn retire_before(vfs: &dyn Vfs, newest: u64) {
+    let keep_from = newest.saturating_sub(1);
+    if let Ok(names) = vfs.list() {
+        for name in names {
+            let old = parse_seq(&name, "snap-", ".ckpt")
+                .or_else(|| parse_seq(&name, "wal-", ".log"))
+                .is_some_and(|s| s < keep_from);
+            if old {
+                let _ = vfs.remove(&name);
+            }
+        }
+        let _ = vfs.sync_dir();
+    }
+}
+
+/// Opens `wal-<seq>.log` for appending: resumes it on its good prefix
+/// (truncating a corrupt tail), or — a missing one is possible when
+/// directory entries persisted independently (real filesystems may durably
+/// publish the snapshot rename without the WAL creation) — recreates it
+/// empty. Also returns what the scan read.
+fn open_wal(vfs: &dyn Vfs, seq: u64) -> Result<(WalWriter, WalReadout), DurabilityError> {
+    let wname = wal_name(seq);
+    match read_wal(vfs, &wname) {
+        Ok(readout) => Ok((WalWriter::resume(vfs, &wname, &readout)?, readout)),
+        Err(ref e) if is_not_found(e) => {
+            let w = WalWriter::create(vfs, &wname)?;
+            vfs.sync_dir()?;
+            Ok((w, WalReadout::default()))
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// A replica's state directory: where a standby installs the mutations a
+/// primary's [`DurableTap`] shipped, so that [`DurableStore::open`] over the
+/// same directory recovers what the primary would.
+///
+/// Everything is vetted before a byte lands, and a checkpoint lands in the
+/// primary's order (module docs, "Checkpoint protocol"): temp file → fsync →
+/// the rotated WAL with its carry-forward → fsync → rename → `sync_dir` →
+/// retention. A failed install leaves the previous `(snap, wal)` pair as the
+/// recovery source and may simply be retried.
+pub struct ReplicaDir {
+    vfs: Arc<dyn Vfs>,
+    /// The WAL shipped frames currently go to, by sequence.
+    live: Option<(u64, WalWriter)>,
+}
+
+impl ReplicaDir {
+    /// A replica over `vfs` (empty, or holding an earlier replica's files).
+    pub fn new(vfs: Arc<dyn Vfs>) -> Self {
+        ReplicaDir { vfs, live: None }
+    }
+
+    /// The directory, for the recovery that promotion runs over it.
+    pub fn vfs(&self) -> &Arc<dyn Vfs> {
+        &self.vfs
+    }
+
+    /// Validate and install one shipped mutation. `Ok` means it is durable
+    /// here; for a checkpoint it carries the decoded image, which passed
+    /// `WarperState::validate`. `Err` means the replica still recovers to
+    /// its previous image (a corrupt ship can never poison it).
+    pub fn install(
+        &mut self,
+        ev: &DurableEvent,
+    ) -> Result<Option<LoadedSnapshot>, DurabilityError> {
+        let vfs = self.vfs.as_ref();
+        match ev {
+            DurableEvent::Checkpoint {
+                seq,
+                snapshot,
+                carry,
+            } => {
+                let image = decode_snapshot(snapshot)?;
+                let tmp = tmp_snap_name(*seq);
+                vfs.create(&tmp)?;
+                vfs.append(&tmp, snapshot)?;
+                vfs.fsync(&tmp)?;
+                let mut wal = WalWriter::create(vfs, &wal_name(*seq))?;
+                if !carry.is_empty() {
+                    wal.append_framed(vfs, carry)?;
+                }
+                vfs.rename(&tmp, &snap_name(*seq))?;
+                // The commit point, as on the primary: later frames belong
+                // to the new WAL whether or not the barrier below lands.
+                self.live = Some((*seq, wal));
+                vfs.sync_dir()?;
+                retire_before(vfs, *seq);
+                Ok(Some(image))
+            }
+            DurableEvent::WalAppend { wal_seq, frame } => {
+                validate_wal_frame(frame)?;
+                let wal = match &mut self.live {
+                    Some((seq, wal)) if seq == wal_seq => wal,
+                    // Frames for a WAL this replica did not rotate (ships
+                    // that began before the first shipped checkpoint).
+                    live => &mut live.insert((*wal_seq, open_wal(vfs, *wal_seq)?.0)).1,
+                };
+                wal.append_framed(vfs, frame)?;
+                Ok(None)
+            }
+        }
     }
 }
 
@@ -674,9 +746,9 @@ fn encode_snapshot_capped(
 
 /// Decode and validate a full snapshot image from bytes (magic + state
 /// frame + model frame), in either the current [`SNAP_MAGIC`] format or the
-/// JSON [`SNAP_MAGIC_V1`] one. Public so a replication standby can vet a
-/// shipped checkpoint — including `WarperState::validate` — *before*
-/// installing it. Total and allocation-bounded on arbitrary bytes.
+/// JSON [`SNAP_MAGIC_V1`] one. Ends in `WarperState::validate`, so
+/// [`ReplicaDir::install`] vets a shipped checkpoint with it *before* a byte
+/// lands. Total and allocation-bounded on arbitrary bytes.
 pub fn decode_snapshot(data: &[u8]) -> Result<LoadedSnapshot, DurabilityError> {
     type Payload<T> = fn(&[u8]) -> Result<T, String>;
     let bad_magic = || DurabilityError::Corrupt("bad snapshot magic".into());

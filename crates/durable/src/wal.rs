@@ -18,7 +18,7 @@ use crate::vfs::{Vfs, VfsError};
 use crate::DurabilityError;
 
 /// Magic prefix of every WAL file ("WARPWAL" + format version 1).
-pub const WAL_MAGIC: &[u8; 8] = b"WARPWAL1";
+const WAL_MAGIC: &[u8; 8] = b"WARPWAL1";
 
 /// One durable observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,7 +34,7 @@ pub enum WalRecord {
 }
 
 /// Outcome of scanning a WAL file.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WalReadout {
     /// Every record up to the first corruption.
     pub records: Vec<WalRecord>,
@@ -138,18 +138,23 @@ impl WalWriter {
     /// back to its good prefix (immediately if possible, else lazily before
     /// the next append) and the record is NOT acknowledged.
     pub fn append(&mut self, vfs: &dyn Vfs, record: &WalRecord) -> Result<(), DurabilityError> {
+        let payload = crate::json_to_bytes(record).map_err(DurabilityError::Encode)?;
+        self.append_framed(vfs, &encode_frame(&payload))
+    }
+
+    /// [`WalWriter::append`] for bytes that are already whole frames — what
+    /// a replica appends when it installs a shipped record or carry-forward.
+    pub fn append_framed(&mut self, vfs: &dyn Vfs, frames: &[u8]) -> Result<(), DurabilityError> {
         if self.needs_repair {
             vfs.truncate(&self.name, self.good_len)?;
             self.needs_repair = false;
         }
-        let payload = crate::json_to_bytes(record).map_err(DurabilityError::Encode)?;
-        let frame = encode_frame(&payload);
         match vfs
-            .append(&self.name, &frame)
+            .append(&self.name, frames)
             .and_then(|()| vfs.fsync(&self.name))
         {
             Ok(()) => {
-                self.good_len += frame.len() as u64;
+                self.good_len += frames.len() as u64;
                 Ok(())
             }
             Err(err) => {

@@ -78,11 +78,6 @@ impl Pca {
         self.components.rows()
     }
 
-    /// Input feature dimension.
-    pub fn input_dim(&self) -> usize {
-        self.components.cols()
-    }
-
     /// Variance explained by each retained component (descending).
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained_variance

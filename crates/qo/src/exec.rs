@@ -56,12 +56,6 @@ impl Executor {
         }
     }
 
-    /// Overrides the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// The scenario.
     pub fn scenario(&self) -> Scenario {
         self.scenario

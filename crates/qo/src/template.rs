@@ -6,7 +6,7 @@
 //! used in training" with a chosen Table-5 workload method.
 
 use rand::rngs::StdRng;
-use warper_query::{join_cardinalities, Annotator, JoinQuery, RangePredicate};
+use warper_query::{join_cardinalities, JoinQuery, RangePredicate};
 use warper_storage::tpch::TpchTables;
 use warper_workload::{Mix, QueryGenerator, WorkloadSpec};
 
@@ -100,12 +100,6 @@ impl<'t> SpjTemplate<'t> {
     /// Draws `n` queries.
     pub fn draw_many(&mut self, n: usize, rng: &mut StdRng) -> Vec<TemplateQuery> {
         (0..n).map(|_| self.draw(rng)).collect()
-    }
-
-    /// Exact single-table cardinality of a lineitem predicate (used to
-    /// label CE training queries for the template).
-    pub fn lineitem_card(&self, pred: &RangePredicate) -> u64 {
-        Annotator::new().count(&self.tables.lineitem, pred)
     }
 }
 

@@ -23,34 +23,29 @@ use rand::SeedableRng;
 use warper_ce::{CardinalityEstimator, Precision};
 use warper_core::detect::{CanarySet, ProbeStats, SketchProbe};
 use warper_core::{
-    derive_seed, seed_stream, ArrivedQuery, CommitHook, FeatureMap, Supervisor, SupervisorConfig,
-    WarperController,
+    derive_seed, seed_stream, ArrivedQuery, CommitHook, FeatureMap, PreparedModel, Supervisor,
+    SupervisorConfig, WarperConfig, WarperController, WarperError,
 };
-use warper_durable::DurableStore;
+use warper_durable::{DurableStore, Recovered};
 use warper_query::{Annotator, RangePredicate};
 use warper_storage::Table;
 
 use crate::queue::BatchQueue;
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 
-/// Durably log labeled arrivals before an invocation consumes them.
-/// Best-effort: a failed append keeps the label usable in memory — it is
-/// simply not crash-protected (and is counted in the store's stats).
-fn log_labeled_arrivals(store: &Mutex<DurableStore>, arrived: &[ArrivedQuery]) {
+/// Durably log labels as they are paid for: labelled arrivals before an
+/// invocation consumes them (`arrival`), or what an annotation round
+/// produced. Best-effort: a failed append keeps the label usable in memory —
+/// it is simply not crash-protected (and is counted in the store's stats).
+fn log_labels<'a>(
+    store: &Mutex<DurableStore>,
+    labels: impl Iterator<Item = (&'a [f64], Option<f64>)>,
+    arrival: bool,
+) {
     let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
-    for q in arrived {
-        if let Some(gt) = q.gt {
-            let _ = s.append_label(&q.features, gt, true);
-        }
-    }
-}
-
-/// Durably log the labels an annotation round produced.
-fn log_annotations(store: &Mutex<DurableStore>, feats: &[Vec<f64>], labels: &[Option<f64>]) {
-    let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
-    for (f, l) in feats.iter().zip(labels) {
-        if let Some(gt) = l {
-            let _ = s.append_label(f, *gt, false);
+    for (features, gt) in labels {
+        if let Some(gt) = gt {
+            let _ = s.append_label(features, gt, arrival);
         }
     }
 }
@@ -147,6 +142,106 @@ pub struct ShardAdapt {
     /// labels are write-ahead logged as they are paid for, and every
     /// committed invocation counts toward its checkpoint cadence.
     pub store: Option<Arc<Mutex<DurableStore>>>,
+}
+
+/// An opened durable lineage and what [`DurableStore::open`] recovered from
+/// it (`None` for a fresh directory).
+pub type Lineage = (Arc<Mutex<DurableStore>>, Option<Recovered>);
+
+fn own_copy(
+    model: &dyn CardinalityEstimator,
+) -> Result<Box<dyn CardinalityEstimator>, WarperError> {
+    model.snapshot().ok_or_else(|| {
+        WarperError::InvalidState(format!(
+            "{} cannot snapshot; serving requires an immutable copy",
+            model.name()
+        ))
+    })
+}
+
+/// Trains the controller a shard adapts with when its lineage recovered
+/// none; [`bring_up`] installs the canonicalizer.
+pub(crate) fn build_controller(
+    base: &PreparedModel,
+    warper: WarperConfig,
+    seed: u64,
+) -> WarperController {
+    WarperController::new(
+        base.fmap.dim(),
+        &base.training_set,
+        base.baseline_gmq,
+        warper,
+        derive_seed(seed, seed_stream::STRATEGY),
+    )
+}
+
+/// Generation 0 of `model`, gated like every later generation (see
+/// `publish_hook`): quantized to `precision` and admitted only within
+/// `tolerance` GMQ drift of the f64 model, which serves otherwise. The
+/// probes are the offline training set — no pool exists yet.
+pub fn initial_snapshot(
+    model: &dyn CardinalityEstimator,
+    training_set: &[(Vec<f64>, f64)],
+    precision: Precision,
+    tolerance: f64,
+) -> Result<Arc<ModelSnapshot>, WarperError> {
+    let probes: Vec<&[f64]> = training_set.iter().map(|(f, _)| f.as_slice()).collect();
+    let (serving, served, _) =
+        crate::quant::prepare_serving_model(model, own_copy(model)?, precision, &probes, tolerance);
+    Ok(Arc::new(
+        ModelSnapshot::initial(serving).with_precision(served),
+    ))
+}
+
+/// Brings one adapting shard up — the one place that decides what it adapts
+/// with and what it serves first:
+///
+/// * the controller is the lineage's recovered one, else `trained` (a fleet
+///   trains one controller and hands every shard a restored copy), else one
+///   trained here from `warper` and `cfg.seed`; either way it canonicalizes
+///   through `base.fmap`;
+/// * a recovered model in the same feature space resumes both adapting and
+///   serving, as its own generation 0 gated at `cfg.precision` within
+///   `cfg.supervisor.quant_gmq_tolerance`; otherwise the shard adapts a copy
+///   of the base model and serves `base_snapshot` — the very `Arc`, so shards
+///   that have not diverged still pack into one GEMM.
+///
+/// Cutting the lineage's base checkpoint is left to the caller, who knows
+/// when one is due.
+pub fn bring_up(
+    base: &PreparedModel,
+    base_snapshot: &Arc<ModelSnapshot>,
+    table: Arc<RwLock<Table>>,
+    lineage: Option<Lineage>,
+    trained: Option<WarperController>,
+    warper: WarperConfig,
+    cfg: AdaptConfig,
+) -> Result<(Arc<ModelSnapshot>, ShardAdapt), WarperError> {
+    let (store, recovered) = lineage.map_or((None, None), |(s, r)| (Some(s), r));
+    let (rec_state, rec_model) = recovered.map_or((None, None), |r| (Some(r.state), r.model));
+    let ctl = match (rec_state, trained) {
+        (Some(state), _) => WarperController::from_state(state)?,
+        (None, Some(ctl)) => ctl,
+        (None, None) => build_controller(base, warper, cfg.seed),
+    }
+    .with_canonicalizer(base.fmap.make_canonicalizer());
+    let (snapshot, model) = match rec_model {
+        Some(m) if m.feature_dim() == base.fmap.dim() => {
+            let tolerance = cfg.supervisor.quant_gmq_tolerance;
+            let snap = initial_snapshot(m.as_ref(), &base.training_set, cfg.precision, tolerance)?;
+            (snap, m)
+        }
+        _ => (Arc::clone(base_snapshot), own_copy(base.model.as_ref())?),
+    };
+    let adapt = ShardAdapt {
+        ctl,
+        model,
+        table,
+        fmap: base.fmap.clone(),
+        cfg,
+        store,
+    };
+    Ok((snapshot, adapt))
 }
 
 /// What the commit hook counts, shared with the [`Adapter`] that owns it.
@@ -289,12 +384,14 @@ impl Adapter {
                     .collect()
             };
             if let Some(store) = store {
-                log_annotations(store, qs, &labels);
+                let paid = qs.iter().zip(&labels).map(|(f, l)| (f.as_slice(), *l));
+                log_labels(store, paid, false);
             }
             labels
         };
         if let Some(store) = store {
-            log_labeled_arrivals(store, arrived);
+            let labelled = arrived.iter().map(|q| (q.features.as_slice(), q.gt));
+            log_labels(store, labelled, true);
         }
         let t0 = Instant::now();
         let report = self.sup.invoke(
@@ -385,62 +482,48 @@ impl AdaptWorker {
 mod tests {
     use super::*;
     use rand::Rng;
+    use warper_core::prepare_single_table;
     use warper_core::runner::ModelKind;
-    use warper_core::{prepare_single_table, WarperConfig};
     use warper_storage::{generate, DatasetKind};
     use warper_workload::QueryGenerator;
 
-    fn small_warper_cfg() -> WarperConfig {
-        WarperConfig {
-            embed_dim: 6,
-            hidden: 24,
-            n_i: 5,
-            pretrain_epochs: 2,
-            gamma: 80,
-            n_p: 40,
-            ..Default::default()
-        }
+    /// One shard over `table`, brought up the way every node does it.
+    fn shard(
+        table: &Table,
+        n_train: usize,
+        cfg: AdaptConfig,
+    ) -> (FeatureMap, Arc<SnapshotCell<ModelSnapshot>>, ShardAdapt) {
+        let prepared =
+            prepare_single_table(table, "w1", ModelKind::LmMlp, n_train, cfg.seed).unwrap();
+        let tolerance = cfg.supervisor.quant_gmq_tolerance;
+        let model = prepared.model.as_ref();
+        let base =
+            initial_snapshot(model, &prepared.training_set, cfg.precision, tolerance).unwrap();
+        let warper = crate::PrimarySpec::default().warper;
+        let shared = Arc::new(RwLock::new(table.clone()));
+        let (snap, adapt) = bring_up(&prepared, &base, shared, None, None, warper, cfg).unwrap();
+        let cell = Arc::new(SnapshotCell::new_shared(snap));
+        (prepared.fmap, cell, adapt)
     }
 
     #[test]
     fn worker_publishes_only_committed_generations() {
         let table = generate(DatasetKind::Prsa, 2_000, 5);
-        let prepared = prepare_single_table(&table, "w1", ModelKind::LmMlp, 250, 11).unwrap();
-        let ctl = WarperController::new(
-            prepared.fmap.dim(),
-            &prepared.training_set,
-            prepared.baseline_gmq,
-            small_warper_cfg(),
-            derive_seed(11, seed_stream::STRATEGY),
-        )
-        .with_canonicalizer(prepared.fmap.make_canonicalizer());
-
-        let serving = prepared.model.snapshot().expect("LmMlp snapshots");
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
-        let shared = Arc::new(RwLock::new(table.clone()));
-        let worker = AdaptWorker::spawn(
-            ShardAdapt {
-                ctl,
-                model: prepared.model,
-                table: shared,
-                fmap: prepared.fmap.clone(),
-                cfg: AdaptConfig {
-                    invoke_every: 30,
-                    max_wait: Duration::from_millis(5),
-                    seed: 11,
-                    ..Default::default()
-                },
-                store: None,
-            },
-            Arc::clone(&cell),
-        );
+        let cfg = AdaptConfig {
+            invoke_every: 30,
+            max_wait: Duration::from_millis(5),
+            seed: 11,
+            ..Default::default()
+        };
+        let (fmap, cell, adapt) = shard(&table, 250, cfg);
+        let worker = AdaptWorker::spawn(adapt, Arc::clone(&cell));
 
         // Feed two invocations' worth of drifted-workload arrivals.
         let mut rng = StdRng::seed_from_u64(3);
         let mut gen = QueryGenerator::try_from_notation(&table, "w4").unwrap();
         for p in gen.generate_many(60, &mut rng) {
             worker.observe(ArrivedQuery {
-                features: prepared.fmap.featurize(&p),
+                features: fmap.featurize(&p),
                 gt: Some(rng.random_range(1.0..500.0)),
             });
         }
@@ -462,39 +545,19 @@ mod tests {
     #[test]
     fn full_inbox_drops_observations_instead_of_blocking() {
         let table = generate(DatasetKind::Prsa, 1_200, 6);
-        let prepared = prepare_single_table(&table, "w1", ModelKind::LmMlp, 150, 5).unwrap();
-        let ctl = WarperController::new(
-            prepared.fmap.dim(),
-            &prepared.training_set,
-            prepared.baseline_gmq,
-            small_warper_cfg(),
-            derive_seed(5, seed_stream::STRATEGY),
-        );
-        let serving = prepared.model.snapshot().expect("LmMlp snapshots");
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
-        let shared = Arc::new(RwLock::new(table.clone()));
-        let worker = AdaptWorker::spawn(
-            ShardAdapt {
-                ctl,
-                model: prepared.model,
-                table: shared,
-                fmap: prepared.fmap.clone(),
-                cfg: AdaptConfig {
-                    invoke_every: 1_000_000, // never invoke: everything queues
-                    max_wait: Duration::from_secs(60),
-                    inbox_capacity: 8,
-                    seed: 5,
-                    ..Default::default()
-                },
-                store: None,
-            },
-            cell,
-        );
-        let dim = prepared.fmap.dim();
+        let cfg = AdaptConfig {
+            invoke_every: 1_000_000, // never invoke: everything queues
+            max_wait: Duration::from_secs(60),
+            inbox_capacity: 8,
+            seed: 5,
+            ..Default::default()
+        };
+        let (fmap, cell, adapt) = shard(&table, 150, cfg);
+        let worker = AdaptWorker::spawn(adapt, cell);
         let t0 = Instant::now();
         for i in 0..100 {
             worker.observe(ArrivedQuery {
-                features: vec![(i % 7) as f64; dim],
+                features: vec![(i % 7) as f64; fmap.dim()],
                 gt: None,
             });
         }

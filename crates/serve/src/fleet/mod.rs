@@ -534,7 +534,6 @@ impl FleetHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::node::ColdModel;
     use std::sync::mpsc::channel;
 
     thread_local! {
@@ -550,7 +549,7 @@ mod tests {
     }
 
     fn cold_fleet() -> Fleet {
-        let snapshot = Arc::new(ModelSnapshot::initial(Box::new(ColdModel)));
+        let snapshot = Arc::new(ModelSnapshot::cold());
         let cfg = FleetConfig {
             workers: 1,
             ..FleetConfig::default()

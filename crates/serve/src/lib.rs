@@ -8,8 +8,8 @@
 //!
 //! * [`snapshot`] — epoch-style publication: workers answer from an
 //!   immutable [`ModelSnapshot`] behind a [`SnapshotCell`]; the adaptation
-//!   loop publishes a new generation with one atomic version bump, and
-//!   readers revalidate their cached `Arc` with a single `Acquire` load.
+//!   loop publishes a new generation under the cell's lock, and readers
+//!   take the current `(version, Arc)` pair with [`SnapshotCell::load`].
 //! * [`queue`] — the bounded micro-batching queue: producers shed instead
 //!   of blocking (admission control), consumers drain batches for the
 //!   model's one-GEMM-per-layer `estimate_many` path.
@@ -26,7 +26,8 @@
 //!   [`AdaptWorker`] per adapting shard or by a replay at its barriers;
 //!   only *committed* steps are ever published (the supervisor's commit
 //!   hook is the single publication point), so a rolled-back update can
-//!   never serve a request.
+//!   never serve a request. [`bring_up`] is how a shard starts: what it
+//!   adapts with, what it serves first, and what a durable lineage resumes.
 //! * [`quant`] — the dual-precision publication gate (DESIGN.md §10):
 //!   every publication quantizes the validated f64 model's serving copy
 //!   (f32 or int8 SIMD microkernels) and admits it only if its GMQ drift
@@ -60,19 +61,20 @@ pub mod replay;
 pub mod service;
 pub mod snapshot;
 
-pub use adapt::{AdaptConfig, AdaptStats, AdaptWorker, Adapter, ShardAdapt};
+pub use adapt::{
+    bring_up, initial_snapshot, AdaptConfig, AdaptStats, AdaptWorker, Adapter, Lineage, ShardAdapt,
+};
 pub use fleet::{Fleet, FleetConfig, FleetHandle, FleetStats, ShardKey, ShardSpec, ShardStats};
 pub use net::{
-    AckLevel, AckMode, EstimateClient, NetError, NetLoadReport, NetLoadSpec, NetServer,
-    NetServerConfig, PrimaryNode, PrimarySpec, ReplHub, ReplicatedStore, RetryPolicy,
-    StandbyApplier, StandbyConfig, StandbyNode,
+    AckLevel, AckMode, EstimateClient, NetError, NetServer, NetServerConfig, PrimaryNode,
+    PrimarySpec, ReplHub, ReplicatedStore, RetryPolicy, StandbyApplier, StandbyConfig, StandbyNode,
 };
 pub use quant::{gate_and_choose, prepare_serving_model, probe_features, QuantOutcome};
 pub use queue::{BatchQueue, PushError};
 pub use replay::{
-    run_replay, AdaptMode, DriftEvent, DriftKind, DurabilityReport, DurableReplay, ReplayReport,
-    ReplaySpec, ShardReport, VfsFactory,
+    run_net_loadgen, run_replay, AdaptMode, DriftEvent, DriftKind, DurabilityReport, DurableReplay,
+    NetLoadReport, NetLoadSpec, ReplayReport, ReplaySpec, ShardReport, VfsFactory,
 };
 pub use service::{Estimate, ServeError};
-pub use snapshot::{ModelSnapshot, SnapshotCell, SnapshotReader};
+pub use snapshot::{ModelSnapshot, SnapshotCell};
 pub use warper_ce::Precision;

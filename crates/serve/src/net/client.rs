@@ -106,6 +106,19 @@ pub struct ClientStats {
     pub backoff_secs: f64,
 }
 
+impl ClientStats {
+    /// Adds another client's counters to these.
+    pub fn merge(&mut self, s: ClientStats) {
+        self.requests += s.requests;
+        self.ok += s.ok;
+        self.shed += s.shed;
+        self.reconnects += s.reconnects;
+        self.rotations += s.rotations;
+        self.net_errors += s.net_errors;
+        self.backoff_secs += s.backoff_secs;
+    }
+}
+
 /// A synchronous estimation client with bounded reconnect.
 pub struct EstimateClient {
     dialer: Box<dyn Dialer>,

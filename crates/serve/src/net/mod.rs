@@ -25,8 +25,9 @@
 //! * [`repl`] — primary-side [`repl::ReplHub`] (ship log + ack watermark +
 //!   measured replication lag) and standby-side [`repl::StandbyApplier`]
 //!   (validate-then-install, promotion through the PR 5 recovery path).
-//! * [`node`] — process-level assembly: [`node::PrimaryNode`],
-//!   [`node::StandbyNode`], and the deterministic network load generator.
+//! * [`node`] — process-level assembly: [`node::PrimaryNode`] and
+//!   [`node::StandbyNode`]. (The networked load generator is part of the
+//!   measurement harness: `crate::replay::run_net_loadgen`.)
 
 pub mod client;
 pub mod codec;
@@ -75,8 +76,8 @@ pub use conn::{
     mem_pair, ByteStream, FailpointNet, FrameConn, MemStream, NetFailPlan, NetFaultKind,
 };
 pub use node::{
-    run_net_loadgen, NetLoadReport, NetLoadSpec, PrimaryNode, PrimaryReport, PrimarySpec,
-    StandbyConfig, StandbyNode, StandbyReport, StandbyState,
+    PrimaryNode, PrimaryReport, PrimarySpec, StandbyConfig, StandbyNode, StandbyReport,
+    StandbyState,
 };
 pub use repl::{
     AckLevel, AckMode, ReplHub, ReplHubStats, ReplLag, ReplicatedStore, StandbyApplier,

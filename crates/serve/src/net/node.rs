@@ -1,9 +1,8 @@
 //! Node orchestration: a serving **primary** (trained model, adaptation
-//! loop, replicated durability, TCP front-end), a warm **standby**
+//! loop, replicated durability, TCP front-end) and a warm **standby**
 //! (subscribes to the primary's replication stream, validates and installs
 //! every shipped mutation, promotes through full recovery when the primary
-//! dies), and [`run_net_loadgen`] — the deterministic multi-client load
-//! generator the failover bench and the CLI drive.
+//! dies).
 //!
 //! Failover state machine (DESIGN.md §11):
 //!
@@ -25,19 +24,11 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
 use warper_core::runner::ModelKind;
-use warper_core::{
-    derive_seed, prepare_single_table, seed_stream, ArrivedQuery, FeatureMap, WarperConfig,
-    WarperController, WarperError,
-};
-use warper_durable::{DurabilityConfig, DurabilityError, RecoveryReport, Vfs};
-use warper_metrics::LatencyHistogram;
+use warper_core::{prepare_single_table, ArrivedQuery, FeatureMap, WarperConfig, WarperError};
+use warper_durable::{DurabilityConfig, DurabilityError, DurableStore, RecoveryReport, Vfs};
 use warper_storage::Table;
 
-use super::client::{ClientError, ClientStats, EstimateClient, RetryPolicy};
 use super::codec::{Msg, Role, NET_PROTO};
 use super::conn::FrameConn;
 use super::repl::{
@@ -45,10 +36,9 @@ use super::repl::{
     StandbyStats,
 };
 use super::server::{NetServer, NetServerConfig, NetStats, ServerCore};
-use super::tcp::{dial, TcpDialer};
-use crate::adapt::{AdaptConfig, AdaptStats, ShardAdapt};
+use super::tcp::dial;
+use crate::adapt::{bring_up, initial_snapshot, AdaptConfig, AdaptStats};
 use crate::fleet::{Fleet, FleetConfig, FleetHandle, FleetStats};
-use crate::replay::{build_controller, drive, query_stream, shard_assignment, ClientLog, Served};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 
 /// Everything a primary needs beyond the table and the state directory.
@@ -119,14 +109,13 @@ pub struct PrimaryReport {
 }
 
 /// A serving primary: a one-shard [`Fleet`] whose shard adapts against a
-/// replicated durable store, behind the TCP front-end — wired exactly like
-/// the in-process replay harness (`crate::replay`) plus the network and
-/// replication layers. One primary is one durable lineage.
+/// replicated durable store, behind the TCP front-end — brought up by the
+/// same [`bring_up`] as a replay's shards, plus the network and replication
+/// layers. One primary is one durable lineage.
 pub struct PrimaryNode {
-    server: Option<NetServer>,
-    fleet: Option<Fleet>,
+    server: NetServer,
+    fleet: Fleet,
     repl: ReplicatedStore,
-    hub: Arc<ReplHub>,
     fmap: FeatureMap,
     addr: String,
 }
@@ -140,75 +129,50 @@ impl PrimaryNode {
         listen: &str,
         spec: PrimarySpec,
     ) -> Result<Self, WarperError> {
-        let durable_err =
-            |e: warper_durable::DurabilityError| WarperError::InvalidState(format!("durable: {e}"));
+        let durable_err = |e: DurabilityError| WarperError::InvalidState(format!("durable: {e}"));
         let net_err = |e: super::NetError| WarperError::InvalidState(format!("net: {e}"));
 
         let prepared = prepare_single_table(table, &spec.mix, spec.model, spec.n_train, spec.seed)?;
-        let fmap = prepared.fmap.clone();
+        let (store, recovered) = DurableStore::open(vfs, spec.durability).map_err(durable_err)?;
+        let repl = ReplicatedStore::new(store, Arc::new(ReplHub::new()), spec.ack_timeout);
 
-        // Recover a prior image when the directory has one; otherwise the
-        // freshly trained model serves (same policy as `run_replay`).
-        let (store, recovered) =
-            warper_durable::DurableStore::open(vfs, spec.durability).map_err(durable_err)?;
-        let (recovered_state, recovered_model) = match recovered {
-            Some(rec) => (Some(rec.state), rec.model),
-            None => (None, None),
+        let cfg = AdaptConfig {
+            seed: spec.seed,
+            ..spec.adapt
         };
-        let model: Box<dyn CardinalityEstimator> = match recovered_model {
-            Some(m) if m.feature_dim() == fmap.dim() => m,
-            _ => prepared.model,
-        };
-        let ctl = match recovered_state {
-            Some(state) => {
-                WarperController::from_state(state)?.with_canonicalizer(fmap.make_canonicalizer())
-            }
-            None => build_controller(
-                &fmap,
-                &prepared.training_set,
-                prepared.baseline_gmq,
-                spec.warper,
-                spec.seed,
-            ),
-        };
-        let serving = model.snapshot().ok_or_else(|| {
-            WarperError::InvalidState(format!(
-                "{} cannot snapshot; serving requires an immutable copy",
-                model.name()
-            ))
-        })?;
+        let base = initial_snapshot(
+            prepared.model.as_ref(),
+            &prepared.training_set,
+            cfg.precision,
+            cfg.supervisor.quant_gmq_tolerance,
+        )?;
+        let (snapshot, adapt) = bring_up(
+            &prepared,
+            &base,
+            Arc::new(RwLock::new(table.clone())),
+            Some((Arc::clone(&repl.store), recovered)),
+            None,
+            spec.warper,
+            cfg,
+        )?;
+        // A startup checkpoint every time, with the hub's tap already on the
+        // store: the oldest entry a subscribing standby can fetch is then a
+        // full snapshot.
+        repl.store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .checkpoint(&adapt.ctl.to_state(), Some(adapt.model.as_ref()))
+            .map_err(durable_err)?;
 
-        // Replication: hub tap first, then a startup checkpoint, so the
-        // oldest entry a subscribing standby can fetch is a full snapshot.
-        let hub = Arc::new(ReplHub::new());
-        let repl = ReplicatedStore::new(store, Arc::clone(&hub), spec.ack_timeout);
-        {
-            let mut s = repl.store.lock().unwrap_or_else(PoisonError::into_inner);
-            s.checkpoint(&ctl.to_state(), Some(model.as_ref()))
-                .map_err(durable_err)?;
-        }
-
-        let adapt = ShardAdapt {
-            ctl,
-            model,
-            table: Arc::new(RwLock::new(table.clone())),
-            fmap: fmap.clone(),
-            cfg: AdaptConfig {
-                seed: spec.seed,
-                ..spec.adapt
-            },
-            store: Some(Arc::clone(&repl.store)),
-        };
-        let snapshot = Arc::new(ModelSnapshot::initial(serving));
+        let fmap = prepared.fmap;
         let fleet = Fleet::single(snapshot, Some(adapt), spec.service);
-        let core = ServerCore::new_fleet(fleet.handle(), true, Some(Arc::clone(&hub)));
+        let core = ServerCore::new_fleet(fleet.handle(), true, Some(Arc::clone(&repl.hub)));
         let server = NetServer::bind(listen, core, spec.net).map_err(net_err)?;
         let addr = server.local_addr().to_string();
         Ok(Self {
-            server: Some(server),
-            fleet: Some(fleet),
+            server,
+            fleet,
             repl,
-            hub,
             fmap,
             addr,
         })
@@ -226,23 +190,18 @@ impl PrimaryNode {
 
     /// In-process submission handle (bypasses the network).
     pub fn handle(&self) -> FleetHandle {
-        self.fleet
-            .as_ref()
-            .expect("fleet runs until shutdown")
-            .handle()
+        self.fleet.handle()
     }
 
     /// Measured replication lag right now.
     pub fn lag(&self) -> ReplLag {
-        self.hub.lag()
+        self.repl.hub.lag()
     }
 
     /// Feed one labeled arrival to the adaptation loop (its WAL path
     /// replicates through the store tap).
     pub fn observe(&self, features: Vec<f64>, gt: Option<f64>) {
-        if let Some(fleet) = &self.fleet {
-            fleet.observe(0, ArrivedQuery { features, gt });
-        }
+        self.fleet.observe(0, ArrivedQuery { features, gt });
     }
 
     /// Durably log one label, optionally waiting for the standby's ack.
@@ -258,19 +217,15 @@ impl PrimaryNode {
     /// Stop everything — the accept loop, live connections (severed, not
     /// drained: this doubles as the crash in failover tests), the worker
     /// pool, and adaptation — and report final counters.
-    pub fn shutdown(mut self) -> PrimaryReport {
-        let lag = self.hub.lag();
-        let net = self
-            .server
-            .take()
-            .map(NetServer::shutdown)
-            .unwrap_or_default();
-        let (service, _, adapt) = self.fleet.take().map(Fleet::shutdown).unwrap_or_default();
+    pub fn shutdown(self) -> PrimaryReport {
+        let lag = self.repl.hub.lag();
+        let net = self.server.shutdown();
+        let (service, _, adapt) = self.fleet.shutdown();
         PrimaryReport {
             net,
             service,
             adapt: adapt.first().map(|&(_, a)| a).unwrap_or_default(),
-            repl: self.hub.stats(),
+            repl: self.repl.hub.stats(),
             lag,
         }
     }
@@ -339,28 +294,6 @@ pub struct StandbyReport {
     pub state: StandbyState,
 }
 
-/// Placeholder the standby's cell holds before any validated checkpoint
-/// arrives. It can never answer a request: the front-end refuses with
-/// `Unavailable { NotPrimary }` until promotion flips `ServerCore`.
-pub(crate) struct ColdModel;
-
-impl CardinalityEstimator for ColdModel {
-    fn feature_dim(&self) -> usize {
-        0
-    }
-    fn estimate(&self, _f: &[f64]) -> f64 {
-        1.0
-    }
-    fn fit(&mut self, _e: &[LabeledExample]) {}
-    fn update(&mut self, _e: &[LabeledExample]) {}
-    fn update_kind(&self) -> UpdateKind {
-        UpdateKind::FineTune
-    }
-    fn name(&self) -> &'static str {
-        "cold-standby"
-    }
-}
-
 struct StandbyShared {
     inner: Mutex<StandbyState>,
     promote_req: AtomicBool,
@@ -387,8 +320,7 @@ impl StandbyNode {
         primary: String,
         cfg: StandbyConfig,
     ) -> Result<Self, super::NetError> {
-        let cold = Arc::new(ModelSnapshot::initial(Box::new(ColdModel)));
-        let fleet = Fleet::single(cold, None, cfg.service);
+        let fleet = Fleet::single(Arc::new(ModelSnapshot::cold()), None, cfg.service);
         let cell = Arc::clone(fleet.cell(0).expect("the fleet has its one shard"));
         let core = ServerCore::new_fleet(fleet.handle(), false, None);
         let server = NetServer::bind(listen, Arc::clone(&core), cfg.net)?;
@@ -455,10 +387,7 @@ impl StandbyNode {
 
     /// Stop replication and serving; report final counters.
     pub fn shutdown(mut self) -> StandbyReport {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(t) = self.repl_thread.take() {
-            let _ = t.join();
-        }
+        self.stop_replication();
         let net = self
             .server
             .take()
@@ -468,22 +397,21 @@ impl StandbyNode {
         StandbyReport {
             net,
             service,
-            state: self
-                .shared
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
+            state: self.state(),
+        }
+    }
+
+    fn stop_replication(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(t) = self.repl_thread.take() {
+            let _ = t.join();
         }
     }
 }
 
 impl Drop for StandbyNode {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(t) = self.repl_thread.take() {
-            let _ = t.join();
-        }
+        self.stop_replication();
     }
 }
 
@@ -586,7 +514,11 @@ fn standby_repl_main(
         if subscribed.is_err() {
             continue 'reconnect;
         }
-        loop {
+        // Anything but an applied ship ends the link: a rejected ship was
+        // never installed and never acked; a timeout, cut or corrupt frame
+        // means the stream can no longer be trusted mid-frame. Either way,
+        // resync from the watermark.
+        let link_error = loop {
             if stopped(&shared) {
                 return;
             }
@@ -597,236 +529,23 @@ fn standby_repl_main(
                 }
             }
             match conn.recv() {
-                Ok(Msg::Repl { idx, event }) => {
-                    if idx <= applier.watermark() {
-                        // Retransmission of something already durable here.
-                        continue;
-                    }
-                    match applier.apply(idx, &event) {
-                        Ok(()) => {
-                            sync_state(&shared, &applier, None);
-                            if conn
-                                .send(&Msg::ReplAck {
-                                    watermark: applier.watermark(),
-                                })
-                                .is_err()
-                            {
-                                continue 'reconnect;
-                            }
-                        }
-                        Err(e) => {
-                            // Validation rejected the ship: never installed,
-                            // never acked. Treat the link as poisoned and
-                            // resync from the watermark.
-                            sync_state(&shared, &applier, Some(format!("rejected ship: {e}")));
-                            conn.stream().shutdown();
+                // Retransmission of something already durable here.
+                Ok(Msg::Repl { idx, .. }) if idx <= applier.watermark() => {}
+                Ok(Msg::Repl { idx, event }) => match applier.apply(idx, &event) {
+                    Ok(()) => {
+                        sync_state(&shared, &applier, None);
+                        let watermark = applier.watermark();
+                        if conn.send(&Msg::ReplAck { watermark }).is_err() {
                             continue 'reconnect;
                         }
                     }
-                }
-                Ok(_) => {
-                    sync_state(&shared, &applier, Some("unexpected repl message".into()));
-                    conn.stream().shutdown();
-                    continue 'reconnect;
-                }
-                Err(e) => {
-                    // Timeout, cut, or corrupt frame: any of them means the
-                    // stream can no longer be trusted mid-frame — resync.
-                    sync_state(&shared, &applier, Some(e.to_string()));
-                    conn.stream().shutdown();
-                    continue 'reconnect;
-                }
+                    Err(e) => break format!("rejected ship: {e}"),
+                },
+                Ok(_) => break "unexpected repl message".to_string(),
+                Err(e) => break e.to_string(),
             }
-        }
+        };
+        sync_state(&shared, &applier, Some(link_error));
+        conn.stream().shutdown();
     }
-}
-
-/// A networked load-generation run.
-#[derive(Debug, Clone)]
-pub struct NetLoadSpec {
-    /// Server addresses, primary first; clients rotate on refusal/cut.
-    pub endpoints: Vec<String>,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Total queries, striped round-robin across clients.
-    pub n_queries: usize,
-    /// Workload notation for the pre-generated query stream.
-    pub mix: String,
-    /// Model family (fixes the featurization).
-    pub model: ModelKind,
-    /// Master seed: queries from [`seed_stream::LOADGEN`], per-client
-    /// retry jitter from [`seed_stream::NET`].
-    pub seed: u64,
-    /// Retry/backoff policy for every client.
-    pub policy: RetryPolicy,
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// Multi-tenant mode: with `tenants > 1` every query is addressed to a
-    /// shard (`Msg::EstimateReqShard`) drawn Zipf(`zipf_s`)-skewed from
-    /// `0..tenants` on the [`seed_stream::SHARD`] stream — the wire-side
-    /// counterpart of [`crate::ReplaySpec::shards`]. `0` or `1` sends plain
-    /// v1 `EstimateReq` frames (shard 0).
-    pub tenants: u32,
-    /// Zipf exponent of the tenant skew (only read when `tenants > 1`).
-    pub zipf_s: f64,
-}
-
-impl Default for NetLoadSpec {
-    fn default() -> Self {
-        Self {
-            endpoints: Vec::new(),
-            clients: 2,
-            n_queries: 200,
-            mix: "w1".into(),
-            model: ModelKind::LmMlp,
-            seed: 11,
-            policy: RetryPolicy::default(),
-            connect_timeout: Duration::from_millis(250),
-            tenants: 0,
-            zipf_s: 1.1,
-        }
-    }
-}
-
-/// What a networked load run measured.
-#[derive(Debug, Clone)]
-pub struct NetLoadReport {
-    /// Queries attempted.
-    pub n_queries: usize,
-    /// Answered with an estimate.
-    pub ok: u64,
-    /// Shed by the server's admission control.
-    pub shed: u64,
-    /// Rejected (feature-dimension mismatch).
-    pub rejected: u64,
-    /// Refused everywhere (no endpoint serving) after rotation.
-    pub unavailable: u64,
-    /// Failed after exhausting bounded retries.
-    pub disconnected: u64,
-    /// Order-independent FNV checksum over `(query index, estimate bits)`
-    /// of every answered query — equal across runs ⇒ the distributed run
-    /// reproduced bit-for-bit (see `replay` module docs).
-    pub checksum: u64,
-    /// End-to-end wall clock.
-    pub elapsed: Duration,
-    /// Per-request latency across all clients (successful requests).
-    pub latency: LatencyHistogram,
-    /// Aggregated client transport counters.
-    pub client: ClientStats,
-    /// Longest gap between consecutive successful responses on any one
-    /// client — during a failover run this upper-bounds the outage a
-    /// client observed.
-    pub max_success_gap: Duration,
-}
-
-fn merge_client_stats(into: &mut ClientStats, s: ClientStats) {
-    into.requests += s.requests;
-    into.ok += s.ok;
-    into.shed += s.shed;
-    into.reconnects += s.reconnects;
-    into.rotations += s.rotations;
-    into.net_errors += s.net_errors;
-    into.backoff_secs += s.backoff_secs;
-}
-
-/// Drive `spec.clients` concurrent [`EstimateClient`]s against
-/// `spec.endpoints` with a pre-generated query stream.
-///
-/// Determinism: queries come from the `LOADGEN` stream of `spec.seed` and
-/// are striped to clients by index; each client's retry jitter comes from
-/// `derive_seed(derive_seed(seed, NET), client)`. Two runs with the same
-/// seed against equivalent servers produce the same [`NetLoadReport::checksum`]
-/// regardless of thread interleaving.
-pub fn run_net_loadgen(table: &Table, spec: &NetLoadSpec) -> Result<NetLoadReport, WarperError> {
-    if spec.endpoints.is_empty() {
-        return Err(WarperError::InvalidState(
-            "loadgen needs ≥ 1 endpoint".into(),
-        ));
-    }
-    let clients = spec.clients.max(1);
-    let fmap = FeatureMap::new(table, spec.model);
-    let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, seed_stream::LOADGEN));
-    let preds = query_stream(table, &spec.mix, spec.n_queries, &mut rng)?;
-    let feats: Vec<Vec<f64>> = preds.iter().map(|p| fmap.featurize(p)).collect();
-
-    // Multi-tenant addressing: shard assignments draw from their own
-    // stream, exactly as the in-process replay does, so a networked run and
-    // an in-process run of the same seed target the same shards.
-    let assign: Option<Vec<u32>> = (spec.tenants > 1).then(|| {
-        shard_assignment(
-            spec.seed,
-            spec.tenants as usize,
-            spec.zipf_s,
-            spec.n_queries,
-        )
-    });
-
-    /// One networked client and what its refusals were.
-    struct NetClient {
-        client: EstimateClient,
-        rejected: u64,
-        unavailable: u64,
-        disconnected: u64,
-    }
-
-    let t0 = Instant::now();
-    let outcomes = drive(
-        0..spec.n_queries,
-        clients,
-        None,
-        |c| {
-            let dialer = TcpDialer {
-                endpoints: spec.endpoints.clone(),
-                connect_timeout: spec.connect_timeout,
-            };
-            let seed = derive_seed(derive_seed(spec.seed, seed_stream::NET), c as u64);
-            NetClient {
-                client: EstimateClient::new(Box::new(dialer), spec.policy, seed),
-                rejected: 0,
-                unavailable: 0,
-                disconnected: 0,
-            }
-        },
-        |nc, idx| {
-            let res = match &assign {
-                Some(a) => nc.client.estimate_shard(a[idx], &feats[idx]),
-                None => nc.client.estimate(&feats[idx]),
-            };
-            match res {
-                Ok(est) => return Served::Ok(est.value),
-                Err(ClientError::Shed) => return Served::Shed,
-                Err(ClientError::Rejected { .. }) => nc.rejected += 1,
-                Err(ClientError::Unavailable | ClientError::UnknownShard(_)) => nc.unavailable += 1,
-                Err(ClientError::Disconnected(_) | ClientError::Protocol(_)) => {
-                    nc.disconnected += 1
-                }
-            }
-            Served::Failed
-        },
-        |_| {},
-    );
-    let elapsed = t0.elapsed();
-
-    let (logs, net_clients): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
-    let merged = ClientLog::merged(logs);
-    let mut report = NetLoadReport {
-        n_queries: spec.n_queries,
-        ok: merged.results.len() as u64,
-        shed: merged.shed as u64,
-        rejected: 0,
-        unavailable: 0,
-        disconnected: 0,
-        checksum: merged.checksum(),
-        elapsed,
-        latency: merged.latency,
-        client: ClientStats::default(),
-        max_success_gap: merged.max_gap,
-    };
-    for nc in net_clients {
-        report.rejected += nc.rejected;
-        report.unavailable += nc.unavailable;
-        report.disconnected += nc.disconnected;
-        merge_client_stats(&mut report.client, nc.client.stats());
-    }
-    Ok(report)
 }

@@ -26,14 +26,12 @@
 //!   valid snapshot → validate → WAL-tail replay with truncate-repair), so
 //!   a standby can never serve an unvalidated or torn-tail model.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use warper_durable::wal::WAL_MAGIC;
 use warper_durable::{
-    decode_snapshot, snap_file_name, validate_wal_frame, wal_file_name, DurabilityConfig,
-    DurabilityError, DurableEvent, DurableStore, RecoveryReport, Vfs,
+    DurabilityConfig, DurabilityError, DurableEvent, DurableStore, RecoveryReport, ReplicaDir, Vfs,
 };
 
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
@@ -148,32 +146,39 @@ impl ReplHub {
             - 1
     }
 
+    /// Blocks until `ready` yields a value from the hub's state, re-checking
+    /// at every publish and ack; `None` on timeout.
+    fn wait_for<T>(
+        &self,
+        timeout: Duration,
+        mut ready: impl FnMut(&HubInner) -> Option<T>,
+    ) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(out) = ready(&g) {
+                return Some(out);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            if left.is_zero() {
+                return None;
+            }
+            (g, _) = self
+                .cv
+                .wait_timeout(g, left)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
     /// Mutations with index > `after`, waiting up to `timeout` for at least
     /// one. The standby's first fetch (`after = 0`) starts at the oldest
     /// retained entry, which after any checkpoint is a full snapshot.
     pub fn fetch(&self, after: u64, timeout: Duration) -> Vec<(u64, DurableEvent)> {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            let out: Vec<(u64, DurableEvent)> = g
-                .log
-                .iter()
-                .filter(|(idx, _)| *idx > after)
-                .cloned()
-                .collect();
-            if !out.is_empty() {
-                return out;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Vec::new();
-            }
-            let (g2, _) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            g = g2;
-        }
+        self.wait_for(timeout, |g| {
+            let out: Vec<_> = g.log.iter().filter(|(i, _)| *i > after).cloned().collect();
+            (!out.is_empty()).then_some(out)
+        })
+        .unwrap_or_default()
     }
 
     /// Record the standby's cumulative ack.
@@ -197,22 +202,8 @@ impl ReplHub {
 
     /// Block until the ack watermark covers `idx`; `false` on timeout.
     pub fn wait_acked(&self, idx: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if g.acked >= idx {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g2, _) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            g = g2;
-        }
+        self.wait_for(timeout, |g| (g.acked >= idx).then_some(()))
+            .is_some()
     }
 
     /// The measured replication-lag watermark.
@@ -332,14 +323,13 @@ pub struct Promotion {
     pub generation: u64,
 }
 
-/// Applies shipped mutations to the standby's own Vfs, warms the serving
-/// cell with validated models, and promotes through full recovery.
+/// Applies shipped mutations to the standby's own directory (through
+/// [`ReplicaDir`], which owns the install protocol), warms the serving cell
+/// with validated models, and promotes through full recovery.
 pub struct StandbyApplier {
-    vfs: Arc<dyn Vfs>,
+    dir: ReplicaDir,
     cell: Arc<SnapshotCell<ModelSnapshot>>,
     watermark: u64,
-    /// WAL files this applier has already created (avoid re-writing magic).
-    wals_created: HashSet<u64>,
     /// Newest checkpoint sequence that passed local validation.
     pub validated_seq: u64,
     pub stats: StandbyStats,
@@ -348,10 +338,9 @@ pub struct StandbyApplier {
 impl StandbyApplier {
     pub fn new(vfs: Arc<dyn Vfs>, cell: Arc<SnapshotCell<ModelSnapshot>>) -> Self {
         Self {
-            vfs,
+            dir: ReplicaDir::new(vfs),
             cell,
             watermark: 0,
-            wals_created: HashSet::new(),
             validated_seq: 0,
             stats: StandbyStats::default(),
         }
@@ -373,97 +362,37 @@ impl StandbyApplier {
     /// durable locally and `watermark()` covers `idx`; on `Err` nothing was
     /// installed (a corrupt ship can never poison the replica).
     pub fn apply(&mut self, idx: u64, ev: &DurableEvent) -> Result<(), DurabilityError> {
-        match self.apply_inner(ev) {
-            Ok(()) => {
-                self.watermark = self.watermark.max(idx);
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.rejected_ops += 1;
-                Err(e)
-            }
-        }
-    }
-
-    fn apply_inner(&mut self, ev: &DurableEvent) -> Result<(), DurabilityError> {
-        match ev {
-            DurableEvent::Checkpoint {
-                seq,
-                snapshot,
-                carry,
-            } => {
-                // Vet the full image — including `WarperState::validate` —
-                // before any byte lands in the replica directory.
-                let (_state, model) = decode_snapshot(snapshot)?;
-
-                // Install with the same tmp → fsync → rename → sync_dir
-                // protocol the primary uses.
-                let tmp = format!("tmp-repl-{seq:08}.ckpt");
-                let snap = snap_file_name(*seq);
-                self.vfs.create(&tmp)?;
-                self.vfs.append(&tmp, snapshot)?;
-                self.vfs.fsync(&tmp)?;
-                self.vfs.rename(&tmp, &snap)?;
-
-                let wname = wal_file_name(*seq);
-                self.vfs.create(&wname)?;
-                self.vfs.append(&wname, WAL_MAGIC)?;
-                if !carry.is_empty() {
-                    self.vfs.append(&wname, carry)?;
-                }
-                self.vfs.fsync(&wname)?;
-                self.vfs.sync_dir()?;
-                self.wals_created.insert(*seq);
-
-                // Same retention policy as the primary: newest + last known
-                // good (best-effort).
-                let keep_from = seq.saturating_sub(1);
-                if let Ok(names) = self.vfs.list() {
-                    for name in names {
-                        let old = parse_replica_seq(&name).is_some_and(|s| s < keep_from);
-                        if old {
-                            let _ = self.vfs.remove(&name);
-                        }
-                    }
-                    let _ = self.vfs.sync_dir();
-                }
-
+        let image = self.dir.install(ev).inspect_err(|_| {
+            self.stats.rejected_ops += 1;
+        })?;
+        match (ev, image) {
+            (DurableEvent::Checkpoint { seq, .. }, Some((state, model))) => {
                 // Warm the serving cell so promotion is instant — but only
                 // with the model that just passed validation, and only
                 // behind the server's not-promoted gate.
                 if let Some(model) = model {
-                    let generation = self.cell.version() + 1;
-                    self.cell.publish(ModelSnapshot {
-                        generation,
-                        model,
-                        precision: crate::Precision::F64,
-                    });
+                    self.warm(model, &state)?;
                 }
                 self.validated_seq = *seq;
                 self.stats.snapshots_applied += 1;
-                Ok(())
             }
-            DurableEvent::WalAppend { wal_seq, frame } => {
-                // Vet the frame before appending: checksum + decode.
-                validate_wal_frame(frame)?;
-                let wname = wal_file_name(*wal_seq);
-                if !self.wals_created.contains(wal_seq) {
-                    // First frame for a WAL we didn't rotate ourselves
-                    // (e.g. ships that started before the first shipped
-                    // checkpoint): create it with the magic header.
-                    if self.vfs.size(&wname).is_err() {
-                        self.vfs.create(&wname)?;
-                        self.vfs.append(&wname, WAL_MAGIC)?;
-                        self.vfs.sync_dir()?;
-                    }
-                    self.wals_created.insert(*wal_seq);
-                }
-                self.vfs.append(&wname, frame)?;
-                self.vfs.fsync(&wname)?;
-                self.stats.wal_frames_applied += 1;
-                Ok(())
-            }
+            _ => self.stats.wal_frames_applied += 1,
         }
+        self.watermark = self.watermark.max(idx);
+        Ok(())
+    }
+
+    /// Publishes a recovered model (f64, as checkpoints hold it) as the
+    /// cell's next generation.
+    fn warm(
+        &self,
+        model: Box<dyn warper_ce::CardinalityEstimator>,
+        state: &warper_core::WarperState,
+    ) -> Result<u64, DurabilityError> {
+        let generation = self.cell.version() + 1;
+        let snap =
+            ModelSnapshot::committed(generation, model, state).map_err(DurabilityError::State)?;
+        Ok(self.cell.publish(snap))
     }
 
     /// Promote: run the full recovery path over the replica directory —
@@ -472,7 +401,7 @@ impl StandbyApplier {
     /// serving cell. This is the only road to serving from a standby, so
     /// an unvalidated or torn-tail model cannot be promoted.
     pub fn promote(&mut self, cfg: DurabilityConfig) -> Result<Promotion, DurabilityError> {
-        let (store, recovered) = DurableStore::open(Arc::clone(&self.vfs), cfg)?;
+        let (store, recovered) = DurableStore::open(Arc::clone(self.dir.vfs()), cfg)?;
         let Some(rec) = recovered else {
             return Err(DurabilityError::Corrupt(
                 "standby has no replicated checkpoint to promote from".into(),
@@ -483,27 +412,11 @@ impl StandbyApplier {
                 "replicated checkpoint carries no serving model".into(),
             ));
         };
-        let generation = self.cell.version() + 1;
-        self.cell.publish(ModelSnapshot {
-            generation,
-            model,
-            precision: crate::Precision::F64,
-        });
+        let generation = self.warm(model, &rec.state)?;
         Ok(Promotion {
             store,
             report: rec.report,
             generation,
         })
     }
-}
-
-fn parse_replica_seq(name: &str) -> Option<u64> {
-    let stripped = name
-        .strip_prefix("snap-")
-        .and_then(|n| n.strip_suffix(".ckpt"))
-        .or_else(|| {
-            name.strip_prefix("wal-")
-                .and_then(|n| n.strip_suffix(".log"))
-        })?;
-    stripped.parse().ok()
 }

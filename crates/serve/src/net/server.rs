@@ -491,12 +491,11 @@ impl Drop for NetServer {
 mod tests {
     use super::*;
     use crate::fleet::{Fleet, FleetConfig};
-    use crate::net::node::ColdModel;
     use crate::snapshot::ModelSnapshot;
 
     #[test]
     fn finished_connections_are_reaped_while_the_server_keeps_accepting() {
-        let cold = Arc::new(ModelSnapshot::initial(Box::new(ColdModel)));
+        let cold = Arc::new(ModelSnapshot::cold());
         let fleet = Fleet::single(cold, None, FleetConfig::default());
         let core = ServerCore::new_fleet(fleet.handle(), true, None);
         let server = NetServer::bind("127.0.0.1:0", core, NetServerConfig::default()).unwrap();

@@ -37,30 +37,38 @@
 //! Every further adapting shard is a clone of that controller's state,
 //! re-seeded from the [`seed_stream::SHARD`] stream by shard id.
 
-use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use warper_ce::{CardinalityEstimator, Precision};
+use warper_ce::Precision;
 use warper_core::runner::{DataDriftKind, ModelKind};
 use warper_core::{
-    derive_seed, prepare_single_table, seed_stream, ArrivedQuery, FeatureMap, SupervisorConfig,
-    WarperConfig, WarperController, WarperError,
+    derive_seed, prepare_single_table, seed_stream, ArrivedQuery, SupervisorConfig, WarperConfig,
+    WarperController, WarperError,
 };
-use warper_durable::{DurabilityConfig, DurableStore, RecoveryReport, Vfs, VfsError};
+use warper_durable::{
+    DurabilityConfig, DurabilityStats, DurableStore, RecoveryReport, Vfs, VfsError,
+};
 use warper_metrics::{gmq, LatencyHistogram, PAPER_THETA};
 use warper_query::{Annotator, RangePredicate};
 use warper_storage::{Table, TableSketch};
-use warper_workload::{ArrivalProcess, QueryGenerator, ZipfSampler};
+use warper_workload::ArrivalProcess;
 
-use crate::adapt::{AdaptConfig, AdaptStats, Adapter, ShardAdapt};
+use crate::adapt::{
+    bring_up, build_controller, initial_snapshot, AdaptConfig, AdaptStats, Adapter, ShardAdapt,
+};
 use crate::fleet::{
     DriftRanker, Fleet, FleetConfig, FleetStats, ShardDrift, ShardKey, ShardSpec, ShardStats,
 };
 use crate::service::ServeError;
-use crate::snapshot::ModelSnapshot;
+
+mod client;
+mod net;
+
+use client::{drive, query_stream, shard_assignment, ClientLog, Served};
+pub use net::{run_net_loadgen, NetLoadReport, NetLoadSpec};
 
 /// What changes mid-run.
 #[derive(Debug, Clone)]
@@ -212,67 +220,16 @@ impl Default for ReplaySpec {
 }
 
 /// What the durability layer did for one shard during one replay.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DurabilityReport {
-    /// Whether the state directory held a prior image the replay resumed.
-    pub resumed: bool,
-    /// Snapshot sequence recovery restored from (0 when not resumed).
-    pub resumed_from_seq: u64,
-    /// Corrupt snapshots skipped before a good one was found.
-    pub corrupt_snapshots: usize,
-    /// WAL records replayed into the pool on top of the snapshot.
-    pub wal_records_replayed: usize,
-    /// Whether recovery truncated a corrupt WAL tail.
-    pub wal_truncated: bool,
-    /// Wall-clock seconds recovery took (0 when not resumed).
-    pub recovery_secs: f64,
-    /// Pool size right after recovery.
-    pub restored_pool_len: usize,
-    /// Usable labels in the pool right after recovery.
-    pub restored_pool_labeled: usize,
-    /// Checkpoints published during this replay.
-    pub checkpoints: usize,
-    /// Checkpoint attempts that failed (retried at the next commit).
-    pub checkpoint_failures: usize,
-    /// Labels acknowledged into the WAL during this replay.
-    pub wal_appends: usize,
-    /// Label appends that failed (label kept in memory, not crash-safe).
-    pub wal_append_failures: usize,
+    /// What recovery found, when the state directory held a prior image the
+    /// replay resumed (`None` for a fresh directory).
+    pub recovery: Option<RecoveryReport>,
+    /// The store's counters over this replay: checkpoints, WAL appends,
+    /// their failures and wall-clock.
+    pub stats: DurabilityStats,
     /// Newest checkpoint sequence when the replay ended.
     pub final_seq: u64,
-    /// Wall-clock seconds writing checkpoints.
-    pub checkpoint_secs: f64,
-    /// Wall-clock seconds appending to the WAL.
-    pub wal_secs: f64,
-}
-
-fn durability_report(
-    store: &Mutex<DurableStore>,
-    rec: Option<&RecoveryReport>,
-) -> DurabilityReport {
-    let s = store.lock().unwrap_or_else(PoisonError::into_inner);
-    let stats = s.stats();
-    let mut d = DurabilityReport {
-        resumed: rec.is_some(),
-        final_seq: s.seq(),
-        checkpoints: stats.checkpoints,
-        checkpoint_failures: stats.checkpoint_failures,
-        wal_appends: stats.wal_appends,
-        wal_append_failures: stats.wal_append_failures,
-        checkpoint_secs: stats.checkpoint_secs,
-        wal_secs: stats.wal_secs,
-        ..DurabilityReport::default()
-    };
-    if let Some(rec) = rec {
-        d.resumed_from_seq = rec.snapshot_seq;
-        d.corrupt_snapshots = rec.corrupt_snapshots;
-        d.wal_records_replayed = rec.wal_records_replayed;
-        d.wal_truncated = rec.wal_truncated;
-        d.recovery_secs = rec.recovery_secs;
-        d.restored_pool_len = rec.pool_len;
-        d.restored_pool_labeled = rec.pool_labeled;
-    }
-    d
 }
 
 /// One shard's slice of the replay outcome.
@@ -336,153 +293,6 @@ pub struct ReplayReport {
     pub durability: Vec<(u32, DurabilityReport)>,
 }
 
-/// How one replayed request came back.
-pub(crate) enum Served {
-    /// Answered with this estimate.
-    Ok(f64),
-    /// Shed by admission control or the queue deadline.
-    Shed,
-    /// Failed for any other reason.
-    Failed,
-}
-
-/// What one client thread collected — or, [`ClientLog::merged`], all of
-/// them together.
-#[derive(Default)]
-pub(crate) struct ClientLog {
-    pub(crate) latency: LatencyHistogram,
-    /// Served `(request index, estimate bits)` pairs.
-    pub(crate) results: Vec<(usize, u64)>,
-    pub(crate) shed: usize,
-    pub(crate) errors: usize,
-    /// Longest gap between consecutive served responses.
-    pub(crate) max_gap: Duration,
-}
-
-impl ClientLog {
-    /// Folds client logs together, `results` sorted by request index.
-    pub(crate) fn merged(logs: impl IntoIterator<Item = ClientLog>) -> ClientLog {
-        let mut m = ClientLog::default();
-        for log in logs {
-            m.latency.merge(&log.latency);
-            m.results.extend(log.results);
-            m.shed += log.shed;
-            m.errors += log.errors;
-            m.max_gap = m.max_gap.max(log.max_gap);
-        }
-        m.results.sort_unstable_by_key(|&(idx, _)| idx);
-        m
-    }
-
-    /// FNV-1a over the served `(index, bits)` pairs — of a merged log,
-    /// independent of client striping and interleaving.
-    pub(crate) fn checksum(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &(idx, bits) in &self.results {
-            for b in (idx as u64)
-                .to_le_bytes()
-                .into_iter()
-                .chain(bits.to_le_bytes())
-            {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-}
-
-/// The client driver: `clients` threads replay the request indices of
-/// `range`, striped by index, each against its own `connect(c)` state.
-/// `call` issues request `idx` (timed into the client's histogram when it
-/// is served); `served` runs after that, off the latency clock. With
-/// `pace`, request `idx` is not sent before `idx / rate` seconds after
-/// `pace.1`.
-pub(crate) fn drive<C: Send>(
-    range: Range<usize>,
-    clients: usize,
-    pace: Option<(&ArrivalProcess, Instant)>,
-    connect: impl Fn(usize) -> C + Sync,
-    call: impl Fn(&mut C, usize) -> Served + Sync,
-    served: impl Fn(usize) + Sync,
-) -> Vec<(ClientLog, C)> {
-    let clients = clients.max(1);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let (range, connect, call, served) = (range.clone(), &connect, &call, &served);
-                s.spawn(move || {
-                    let mut client = connect(c);
-                    let mut log = ClientLog::default();
-                    let mut last_ok = Instant::now();
-                    for idx in range.filter(|i| i % clients == c) {
-                        if let Some((p, start)) = pace {
-                            let due =
-                                Duration::from_secs_f64(idx as f64 / p.rate_per_sec.max(1e-9));
-                            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                                std::thread::sleep(wait);
-                            }
-                        }
-                        let t0 = Instant::now();
-                        match call(&mut client, idx) {
-                            Served::Ok(value) => {
-                                log.latency.record_duration(t0.elapsed());
-                                log.max_gap = log.max_gap.max(last_ok.elapsed());
-                                last_ok = Instant::now();
-                                log.results.push((idx, value.to_bits()));
-                                served(idx);
-                            }
-                            Served::Shed => log.shed += 1,
-                            Served::Failed => log.errors += 1,
-                        }
-                    }
-                    (log, client)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-}
-
-/// The replayed stream: `n` queries of `mix` over `table` drawn from `rng`
-/// (the [`seed_stream::LOADGEN`] stream of the master seed).
-pub(crate) fn query_stream(
-    table: &Table,
-    mix: &str,
-    n: usize,
-    rng: &mut StdRng,
-) -> Result<Vec<RangePredicate>, WarperError> {
-    Ok(QueryGenerator::try_from_notation(table, mix)?.generate_many(n, rng))
-}
-
-/// Zipf(`zipf_s`)-skewed shard assignment of `n` requests, drawn from the
-/// [`seed_stream::SHARD`] stream so that changing the shard count or skew
-/// never perturbs the queries themselves.
-pub(crate) fn shard_assignment(seed: u64, shards: usize, zipf_s: f64, n: usize) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(derive_seed(seed, seed_stream::SHARD));
-    let zipf = ZipfSampler::new(shards, zipf_s);
-    (0..n).map(|_| zipf.sample(&mut rng) as u32).collect()
-}
-
-pub(crate) fn build_controller(
-    fmap: &FeatureMap,
-    training_set: &[(Vec<f64>, f64)],
-    baseline_gmq: f64,
-    warper: WarperConfig,
-    seed: u64,
-) -> WarperController {
-    WarperController::new(
-        fmap.dim(),
-        training_set,
-        baseline_gmq,
-        warper,
-        derive_seed(seed, seed_stream::STRATEGY),
-    )
-    .with_canonicalizer(fmap.make_canonicalizer())
-}
-
 /// Runs one replay against `table`.
 ///
 /// All shards serve the same schema (one offline training run shared
@@ -499,8 +309,7 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
 
     // ---- Offline phase: one training run, pre-generated streams.
     let prepared = prepare_single_table(table, &spec.mix, spec.model, spec.n_train, spec.seed)?;
-    let fmap = prepared.fmap.clone();
-    let base_model = prepared.model;
+    let fmap = &prepared.fmap;
 
     let mut loadgen = StdRng::seed_from_u64(derive_seed(spec.seed, seed_stream::LOADGEN));
     let mut preds = query_stream(table, &spec.mix, drift_at, &mut loadgen)?;
@@ -547,39 +356,18 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
     let synchronous = matches!(spec.adapt, AdaptMode::Synchronous { .. });
     let n_adapt = adapt_cfg.map_or(0, |_| spec.adapt_shards.min(shards));
 
-    // ---- Base serving snapshot, quantize-gated once at the requested
-    // precision (probing with the offline training set — the pool is not
-    // built yet) and shared by every shard through one Arc, which is what
-    // makes cross-shard packing possible.
+    // ---- Base serving snapshot, gated once at the requested precision and
+    // shared by every shard through one Arc, which is what makes cross-shard
+    // packing possible.
     let quant_tolerance = adapt_cfg
         .map_or_else(SupervisorConfig::default, |c| c.supervisor)
         .quant_gmq_tolerance;
-    let probe_refs: Vec<&[f64]> = prepared
-        .training_set
-        .iter()
-        .map(|(f, _)| f.as_slice())
-        .collect();
-    let own_copy = |model: &dyn CardinalityEstimator| {
-        model.snapshot().ok_or_else(|| {
-            WarperError::InvalidState(format!(
-                "{} cannot snapshot; serving requires an immutable copy",
-                model.name()
-            ))
-        })
-    };
-    let initial_snapshot = |model: &dyn CardinalityEstimator| {
-        let (serving, precision, _) = crate::quant::prepare_serving_model(
-            model,
-            own_copy(model)?,
-            spec.precision,
-            &probe_refs,
-            quant_tolerance,
-        );
-        Ok::<_, WarperError>(Arc::new(
-            ModelSnapshot::initial(serving).with_precision(precision),
-        ))
-    };
-    let base_snap = initial_snapshot(base_model.as_ref())?;
+    let base_snap = initial_snapshot(
+        prepared.model.as_ref(),
+        &prepared.training_set,
+        spec.precision,
+        quant_tolerance,
+    )?;
 
     // ---- Per-shard tables + sketch drift triage. Every adapting shard
     // owns a clone of the base table. The ranker baselines each shard on
@@ -625,15 +413,7 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
     // expensive part): shard 0 keeps it, every other shard restores a clone
     // of its state — as does any shard resuming a durable lineage or
     // capped by a budget grant.
-    let mut trained = (n_adapt > 0).then(|| {
-        build_controller(
-            &fmap,
-            &prepared.training_set,
-            prepared.baseline_gmq,
-            spec.warper,
-            spec.seed,
-        )
-    });
+    let mut trained = (n_adapt > 0).then(|| build_controller(&prepared, spec.warper, spec.seed));
     let base_state = trained.as_ref().map(WarperController::to_state);
     let mut specs: Vec<ShardSpec> = Vec::with_capacity(shards);
     let mut stepped: Vec<(u32, ShardAdapt)> = Vec::new();
@@ -644,18 +424,14 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
         let mut snapshot = Arc::clone(&base_snap);
         let mut adapt = None;
         if let (Some(cfg), true) = (adapt_cfg, id < n_adapt) {
-            let (store, recovered) = match &spec.durable {
+            let mut lineage = match &spec.durable {
                 Some(d) => {
                     let vfs = (d.vfs_for)(&key)
                         .map_err(|e| WarperError::InvalidState(format!("shard {key}: vfs: {e}")))?;
                     let (s, rec) = DurableStore::open(vfs, d.cfg).map_err(durable_err)?;
-                    (Some(Arc::new(Mutex::new(s))), rec)
+                    Some((Arc::new(Mutex::new(s)), rec))
                 }
-                None => (None, None),
-            };
-            let (rec_state, rec_model, rec_report) = match recovered {
-                Some(rec) => (Some(rec.state), rec.model, Some(rec.report)),
-                None => (None, None, None),
+                None => None,
             };
             // The shard's slice of the global annotation budget becomes its
             // per-invocation annotation cap.
@@ -663,62 +439,65 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
                 .iter()
                 .find(|&&(s, _)| s == id as u32)
                 .map(|&(_, g)| g);
-            let original = trained
-                .take()
-                .filter(|_| id == 0 && rec_state.is_none() && grant.is_none());
-            let mut ctl = match original {
-                Some(ctl) => ctl,
-                None => {
-                    let mut state = rec_state
-                        .or_else(|| base_state.clone())
+            let recovered = lineage.as_mut().and_then(|(_, rec)| rec.as_mut());
+            let original = trained.take().filter(|_| id == 0 && grant.is_none());
+            let fresh = match (recovered, original) {
+                (Some(rec), _) => {
+                    rec.state.cfg.n_p = grant.unwrap_or(rec.state.cfg.n_p);
+                    None
+                }
+                (None, Some(ctl)) => Some(ctl),
+                (None, None) => {
+                    let mut state = base_state
+                        .clone()
                         .unwrap_or_else(|| unreachable!("base state exists when n_adapt > 0"));
-                    if let Some(g) = grant {
-                        state.cfg.n_p = g;
-                    }
-                    WarperController::from_state(state)?
-                        .with_canonicalizer(fmap.make_canonicalizer())
+                    state.cfg.n_p = grant.unwrap_or(state.cfg.n_p);
+                    Some(WarperController::from_state(state)?)
                 }
             };
+            if let Some((store, rec)) = &lineage {
+                let report = rec.as_ref().map(|r| r.report.clone());
+                durable_shards.push((id as u32, Arc::clone(store), report));
+            }
+            let cfg = AdaptConfig {
+                seed: match id {
+                    0 => spec.seed,
+                    _ => derive_seed(derive_seed(spec.seed, seed_stream::SHARD), id as u64),
+                },
+                precision: spec.precision,
+                ..cfg
+            };
+            let table = Arc::clone(&shard_tables[id]);
+            let (snap, mut shard_adapt) = bring_up(
+                &prepared,
+                &base_snap,
+                table,
+                lineage,
+                fresh,
+                spec.warper,
+                cfg,
+            )?;
+            snapshot = snap;
             // A fresh controller adopts the shard's pre-drift sketch rollup
             // as its baseline, so the probe sees the pre-serving drift as
             // c1 drift; a recovered one keeps its own.
-            if ctl.sketch_baseline().is_none() {
-                ctl.set_sketch_baseline(Some(pre_drift[id].clone()));
+            if shard_adapt.ctl.sketch_baseline().is_none() {
+                shard_adapt
+                    .ctl
+                    .set_sketch_baseline(Some(pre_drift[id].clone()));
             }
-            // A recovered model (same feature space) resumes both adapting
-            // and serving; otherwise the freshly trained one does.
-            let model: Box<dyn CardinalityEstimator> = match rec_model {
-                Some(m) if m.feature_dim() == fmap.dim() => {
-                    snapshot = initial_snapshot(m.as_ref())?;
-                    m
-                }
-                _ => own_copy(base_model.as_ref())?,
-            };
-            if let Some(store) = &store {
+            if let Some(store) = &shard_adapt.store {
                 // A fresh lineage gets an immediate base checkpoint so
                 // labels logged before the first commit have a snapshot to
                 // replay onto.
                 let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
                 if s.seq() == 0 {
-                    let _ = s.checkpoint(&ctl.to_state(), Some(model.as_ref()));
+                    let _ = s.checkpoint(
+                        &shard_adapt.ctl.to_state(),
+                        Some(shard_adapt.model.as_ref()),
+                    );
                 }
-                durable_shards.push((id as u32, Arc::clone(store), rec_report));
             }
-            let shard_adapt = ShardAdapt {
-                ctl,
-                model,
-                table: Arc::clone(&shard_tables[id]),
-                fmap: fmap.clone(),
-                cfg: AdaptConfig {
-                    seed: match id {
-                        0 => spec.seed,
-                        _ => derive_seed(derive_seed(spec.seed, seed_stream::SHARD), id as u64),
-                    },
-                    precision: spec.precision,
-                    ..cfg
-                },
-                store,
-            };
             if synchronous {
                 stepped.push((id as u32, shard_adapt));
             } else {
@@ -816,8 +595,16 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
 
     // ---- Durability summaries (workers and adapters have joined).
     let durability: Vec<(u32, DurabilityReport)> = durable_shards
-        .iter()
-        .map(|(id, store, rec)| (*id, durability_report(store, rec.as_ref())))
+        .into_iter()
+        .map(|(id, store, recovery)| {
+            let s = store.lock().unwrap_or_else(PoisonError::into_inner);
+            let report = DurabilityReport {
+                recovery,
+                stats: s.stats(),
+                final_seq: s.seq(),
+            };
+            (id, report)
+        })
         .collect();
 
     let merged = ClientLog::merged(logs);
@@ -892,18 +679,12 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use warper_storage::{generate, DatasetKind};
 
+    /// The node-scale controller shape (small modules, short retraining).
     fn small_warper() -> WarperConfig {
-        WarperConfig {
-            embed_dim: 6,
-            hidden: 24,
-            n_i: 5,
-            pretrain_epochs: 2,
-            gamma: 80,
-            n_p: 40,
-            ..Default::default()
-        }
+        crate::PrimarySpec::default().warper
     }
 
     #[test]

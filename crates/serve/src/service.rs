@@ -8,6 +8,8 @@
 
 use std::sync::{Condvar, Mutex, PoisonError};
 
+use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
+
 /// A successful estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
@@ -62,6 +64,29 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Placeholder a cell holds before any model may serve from it (a standby
+/// before its first validated checkpoint, see [`crate::ModelSnapshot::cold`]).
+/// It can never answer a request: the front-end refuses with
+/// `Unavailable { NotPrimary }` until promotion flips `ServerCore`.
+pub(crate) struct ColdModel;
+
+impl CardinalityEstimator for ColdModel {
+    fn feature_dim(&self) -> usize {
+        0
+    }
+    fn estimate(&self, _f: &[f64]) -> f64 {
+        1.0
+    }
+    fn fit(&mut self, _e: &[LabeledExample]) {}
+    fn update(&mut self, _e: &[LabeledExample]) {}
+    fn update_kind(&self) -> UpdateKind {
+        UpdateKind::FineTune
+    }
+    fn name(&self) -> &'static str {
+        "cold-standby"
+    }
+}
 
 /// A one-shot rendezvous the dispatcher fills and the requester waits on.
 pub(crate) struct ResponseSlot {

@@ -4,13 +4,13 @@
 //! [`ModelSnapshot`] while the adaptation loop retrains a private copy of
 //! the model in the background. Publication is a version bump on a
 //! [`SnapshotCell`]: readers keep serving the `Arc` they already hold until
-//! they notice the new version, so a swap never blocks an in-flight
+//! they next [`SnapshotCell::load`], so a swap never blocks an in-flight
 //! estimate and a reader can never observe a half-written model.
 //!
 //! The cell is deliberately built from `std` primitives only (one atomic,
-//! one mutex): the fast path — the version check every request performs —
-//! is a single `Acquire` load, and the mutex is touched only on publish and
-//! on the first read after a publish.
+//! one mutex): the version alone (staleness accounting, the next
+//! generation number) is a single `Acquire` load; the `(version, Arc)` pair
+//! is read and swapped under the mutex, held for two word copies.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -18,11 +18,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use warper_ce::{CardinalityEstimator, Precision};
 use warper_core::{WarperError, WarperState};
 
+use crate::service::ColdModel;
+
 /// A single-publisher, many-reader cell holding the current snapshot.
 ///
-/// Writers go through [`SnapshotCell::publish`]; readers either call
-/// [`SnapshotCell::load`] directly or, on hot paths, cache the `Arc` in a
-/// [`SnapshotReader`] and revalidate it with one atomic load per access.
+/// Writers go through [`SnapshotCell::publish`]; readers call
+/// [`SnapshotCell::load`] once per batch and answer from that `Arc`.
 pub struct SnapshotCell<T> {
     /// Published version, bumped *after* the slot holds the new value
     /// (`Release`); readers pair it with an `Acquire` load so a version
@@ -81,35 +82,6 @@ impl<T> SnapshotCell<T> {
     }
 }
 
-/// A reader-side cache over a [`SnapshotCell`]: the common case (no publish
-/// since the last access) costs one atomic load and returns the cached
-/// `Arc` without touching the mutex.
-pub struct SnapshotReader<T> {
-    cell: Arc<SnapshotCell<T>>,
-    seen: u64,
-    cached: Arc<T>,
-}
-
-impl<T> SnapshotReader<T> {
-    /// A reader over `cell`, primed with the current snapshot.
-    pub fn new(cell: Arc<SnapshotCell<T>>) -> Self {
-        let (seen, cached) = cell.load();
-        Self { cell, seen, cached }
-    }
-
-    /// The current snapshot and its version, revalidating the cache with a
-    /// single atomic load.
-    pub fn current(&mut self) -> (u64, &Arc<T>) {
-        let v = self.cell.version.load(Ordering::Acquire);
-        if v != self.seen {
-            let (seen, cached) = self.cell.load();
-            self.seen = seen;
-            self.cached = cached;
-        }
-        (self.seen, &self.cached)
-    }
-}
-
 /// What the serving workers answer from: an immutable, validated model
 /// behind a generation number.
 pub struct ModelSnapshot {
@@ -131,6 +103,12 @@ impl ModelSnapshot {
             model,
             precision: Precision::F64,
         }
+    }
+
+    /// What a standby's cell holds before its first validated checkpoint:
+    /// a placeholder that never answers (see `service::ColdModel`).
+    pub fn cold() -> Self {
+        Self::initial(Box::new(ColdModel))
     }
 
     /// A snapshot of a *committed* adaptation step. The controller state is
@@ -161,27 +139,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn publish_bumps_version_and_readers_catch_up() {
-        let cell = Arc::new(SnapshotCell::new(10u32));
-        let mut reader = SnapshotReader::new(Arc::clone(&cell));
+    fn publish_bumps_version_and_load_follows() {
+        let cell = SnapshotCell::new(10u32);
         assert_eq!(cell.version(), 0);
-        let (v, snap) = reader.current();
-        assert_eq!((v, **snap), (0, 10));
+        let (v, snap) = cell.load();
+        assert_eq!((v, *snap), (0, 10));
 
         assert_eq!(cell.publish(11), 1);
         assert_eq!(cell.publish(12), 2);
         assert_eq!(cell.version(), 2);
-        let (v, snap) = reader.current();
-        assert_eq!((v, **snap), (2, 12));
-    }
-
-    #[test]
-    fn reader_cache_survives_no_publish() {
-        let cell = Arc::new(SnapshotCell::new(String::from("a")));
-        let mut reader = SnapshotReader::new(Arc::clone(&cell));
-        let first = Arc::as_ptr(reader.current().1);
-        // No publish in between: the very same Arc comes back.
-        assert_eq!(Arc::as_ptr(reader.current().1), first);
+        let (v, snap) = cell.load();
+        assert_eq!((v, *snap), (2, 12));
     }
 
     #[test]
@@ -206,10 +174,9 @@ mod tests {
             for _ in 0..4 {
                 let cell = Arc::clone(&cell);
                 s.spawn(move || {
-                    let mut reader = SnapshotReader::new(cell);
                     for _ in 0..20_000 {
-                        let (v, snap) = reader.current();
-                        assert_eq!(v, **snap);
+                        let (v, snap) = cell.load();
+                        assert_eq!(v, *snap);
                     }
                 });
             }

@@ -115,14 +115,14 @@ fn replay_resumes_from_state_dir_without_losing_committed_labels() {
     let rep1 = run_replay(&table, &durable_spec(&mem, 23)).unwrap();
     assert_eq!(rep1.errors, 0);
     let d1 = durability(&rep1).expect("durable report");
-    assert!(!d1.resumed, "first run starts a fresh directory");
-    assert!(d1.checkpoints >= 1, "{d1:?}");
+    assert!(d1.recovery.is_none(), "first run starts a fresh directory");
+    assert!(d1.stats.checkpoints >= 1, "{d1:?}");
     assert!(
-        d1.wal_appends > 0,
+        d1.stats.wal_appends > 0,
         "annotation labels must be logged: {d1:?}"
     );
-    assert_eq!(d1.checkpoint_failures, 0, "{d1:?}");
-    assert_eq!(d1.wal_append_failures, 0, "{d1:?}");
+    assert_eq!(d1.stats.checkpoint_failures, 0, "{d1:?}");
+    assert_eq!(d1.stats.wal_append_failures, 0, "{d1:?}");
     let before = durable_image(&mem);
     assert!(!before.keys.is_empty());
 
@@ -132,13 +132,13 @@ fn replay_resumes_from_state_dir_without_losing_committed_labels() {
     let rep2 = run_replay(&table, &durable_spec(&mem, 24)).unwrap();
     assert_eq!(rep2.errors, 0);
     let d2 = durability(&rep2).expect("durable report");
-    assert!(d2.resumed, "{d2:?}");
-    assert!(d2.resumed_from_seq >= 1, "{d2:?}");
-    assert_eq!(d2.restored_pool_len, before.pool_len, "{d2:?}");
-    assert_eq!(d2.restored_pool_labeled, before.labeled, "{d2:?}");
-    assert!(d2.recovery_secs >= 0.0);
+    let r2 = d2.recovery.as_ref().expect("second run resumes");
+    assert!(r2.snapshot_seq >= 1, "{d2:?}");
+    assert_eq!(r2.pool_len, before.pool_len, "{d2:?}");
+    assert_eq!(r2.pool_labeled, before.labeled, "{d2:?}");
+    assert!(r2.recovery_secs >= 0.0);
     // And the second run keeps the directory live.
-    assert!(d2.checkpoints >= 1, "{d2:?}");
+    assert!(d2.stats.checkpoints >= 1, "{d2:?}");
     let after = durable_image(&mem);
     assert!(!after.keys.is_empty());
 }
@@ -150,7 +150,10 @@ fn power_cut_mid_replay_resumes_from_last_durable_image() {
 
     // Establish a durable base.
     let rep1 = run_replay(&table, &durable_spec(&mem, 23)).unwrap();
-    assert_eq!(durability(&rep1).map(|d| d.wal_append_failures), Some(0));
+    assert_eq!(
+        durability(&rep1).map(|d| d.stats.wal_append_failures),
+        Some(0)
+    );
 
     // A run whose state directory dies mid-flight: every VFS operation from
     // the 60th on fails as a power cut. Depending on where the cut lands,
@@ -179,7 +182,7 @@ fn power_cut_mid_replay_resumes_from_last_durable_image() {
     let rep3 = run_replay(&table, &durable_spec(&mem, 32)).unwrap();
     assert_eq!(rep3.errors, 0);
     let d3 = durability(&rep3).expect("durable report");
-    assert!(d3.resumed, "{d3:?}");
-    assert_eq!(d3.restored_pool_len, image.pool_len, "{d3:?}");
-    assert_eq!(d3.restored_pool_labeled, image.labeled, "{d3:?}");
+    let r3 = d3.recovery.as_ref().expect("third run resumes");
+    assert_eq!(r3.pool_len, image.pool_len, "{d3:?}");
+    assert_eq!(r3.pool_labeled, image.labeled, "{d3:?}");
 }

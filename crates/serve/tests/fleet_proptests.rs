@@ -396,8 +396,14 @@ fn fleet_replay_resumes_every_adapting_shard_from_its_own_lineage() {
     let first = run_replay(&table, &durable_fleet_spec(&mem, 41)).expect("first fleet run");
     assert_eq!(first.durability.len(), 2, "both adapting shards own stores");
     for (id, d) in &first.durability {
-        assert!(!d.resumed, "shard {id}: first run starts a fresh lineage");
-        assert!(d.checkpoints > 0, "shard {id}: base checkpoint must land");
+        assert!(
+            d.recovery.is_none(),
+            "shard {id}: first run starts a fresh lineage"
+        );
+        assert!(
+            d.stats.checkpoints > 0,
+            "shard {id}: base checkpoint must land"
+        );
     }
     mem.power_cut();
 
@@ -405,10 +411,10 @@ fn fleet_replay_resumes_every_adapting_shard_from_its_own_lineage() {
     assert_eq!(second.served + second.shed, 160);
     assert_eq!(second.durability.len(), 2);
     for (id, d) in &second.durability {
-        assert!(d.resumed, "shard {id}: second run must resume its lineage");
+        let rec = d.recovery.as_ref();
         assert!(
-            d.restored_pool_len > 0,
-            "shard {id}: resumed pool must be non-empty"
+            rec.is_some_and(|r| r.pool_len > 0),
+            "shard {id}: second run must resume its lineage with a non-empty pool"
         );
     }
 

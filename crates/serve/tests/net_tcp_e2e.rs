@@ -20,10 +20,13 @@ use warper_core::runner::ModelKind;
 use warper_core::WarperConfig;
 use warper_durable::{DurabilityConfig, MemVfs};
 use warper_serve::net::{
-    run_net_loadgen, AckMode, ClientError, EstimateClient, NetLoadSpec, NetServer, NetServerConfig,
-    PrimaryNode, PrimarySpec, RetryPolicy, ServerCore, StandbyConfig, StandbyNode, TcpDialer,
+    AckMode, ClientError, EstimateClient, NetServer, NetServerConfig, PrimaryNode, PrimarySpec,
+    RetryPolicy, ServerCore, StandbyConfig, StandbyNode, TcpDialer,
 };
-use warper_serve::{Fleet, FleetConfig, ModelSnapshot, ShardKey, ShardSpec};
+use warper_serve::{
+    run_net_loadgen, run_replay, AdaptConfig, AdaptMode, Fleet, FleetConfig, ModelSnapshot,
+    NetLoadSpec, Precision, ReplaySpec, ShardKey, ShardSpec,
+};
 use warper_storage::{generate, DatasetKind, Table};
 
 fn small_table() -> Table {
@@ -115,6 +118,46 @@ fn loadgen_checksum_is_reproducible_across_runs_and_primaries() {
 
     p1.shutdown();
     p2.shutdown();
+}
+
+/// One bring-up for every node: a networked primary answers exactly what
+/// the in-process replay of the same table / seed / `n_train` / mix answers,
+/// at the requested precision from generation 0 on. (The primary used to
+/// serve generation 0 ungated at f64 whatever `adapt.precision` said, so the
+/// f32 leg of this test failed.)
+#[test]
+fn primary_serves_what_the_in_process_replay_serves_at_either_precision() {
+    let table = small_table();
+    for precision in [Precision::F64, Precision::F32] {
+        let spec = PrimarySpec {
+            adapt: AdaptConfig {
+                precision,
+                ..Default::default()
+            },
+            ..quick_spec(11)
+        };
+        let node = PrimaryNode::start(&table, Arc::new(MemVfs::new()), "127.0.0.1:0", spec)
+            .expect("primary starts");
+        let net = run_net_loadgen(&table, &load_spec(vec![node.addr().to_string()], 11, 60))
+            .expect("networked run");
+        node.shutdown();
+        let replay = ReplaySpec {
+            n_train: 120,
+            n_queries: 60,
+            clients: 3,
+            seed: 11,
+            adapt: AdaptMode::None,
+            precision,
+            ..Default::default()
+        };
+        let rep = run_replay(&table, &replay).expect("in-process run");
+        assert_eq!((net.ok, rep.served), (60, 60), "{net:?}");
+        assert_eq!(rep.precision, precision, "the gate admits f32 here");
+        assert_eq!(
+            net.checksum, rep.estimates_checksum,
+            "{precision}: the wire and the in-process path serve different generation 0s"
+        );
+    }
 }
 
 /// Kill the primary while a standby replicates from it: the standby

@@ -19,7 +19,7 @@ use warper_core::detect::DataTelemetry;
 use warper_core::{ArrivedQuery, Supervisor, SupervisorConfig, WarperConfig, WarperController};
 use warper_serve::{
     gate_and_choose, Fleet, FleetConfig, ModelSnapshot, Precision, QuantOutcome, ServeError,
-    SnapshotCell, SnapshotReader,
+    SnapshotCell,
 };
 
 /// The probe every reader sends; a model's identity is its answer to it.
@@ -324,7 +324,7 @@ proptest! {
         let mut expected_refusals = 0usize;
         std::thread::scope(|s| {
             for _ in 0..readers {
-                let mut reader = SnapshotReader::new(Arc::clone(&cell));
+                let cell = Arc::clone(&cell);
                 let quant_ok = Arc::clone(&quant_ok);
                 let full_ok = Arc::clone(&full_ok);
                 let refused = Arc::clone(&refused);
@@ -332,7 +332,7 @@ proptest! {
                 s.spawn(move || {
                     let mut seen = 0u32;
                     while !stop.load(Ordering::Relaxed) || seen == 0 {
-                        let (_, snap) = reader.current();
+                        let (_, snap) = cell.load();
                         let bits = snap.model.estimate(&PROBE).to_bits();
                         seen += 1;
                         assert!(

@@ -16,7 +16,7 @@ use crate::gan::{Gan, TrainStats};
 use crate::persist::{RuntimeState, WarperState};
 use crate::picker::{Picker, PickerKind};
 use crate::pool::{QueryPool, Source};
-use crate::supervisor::{RollbackReason, Supervisor, SupervisorConfig, SupervisorStats};
+use crate::supervisor::{RollbackReason, Supervisor, SupervisorConfig};
 
 /// A risky internal-module training task run under
 /// `WarperController::train_guarded`'s all-or-nothing semantics.
@@ -871,11 +871,6 @@ impl WarperStrategy {
     /// Access to the wrapped controller.
     pub fn controller(&self) -> &WarperController {
         &self.controller
-    }
-
-    /// Commit/rollback counters, when a supervisor is installed.
-    pub fn supervisor_stats(&self) -> Option<SupervisorStats> {
-        self.supervisor.as_ref().map(|s| s.stats())
     }
 }
 

@@ -337,11 +337,6 @@ impl WorkloadDriftTracker {
         (raw - null).max(0.0)
     }
 
-    /// Number of recent queries currently windowed.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Re-baselines on the current window (after an adaptation converges,
     /// the new workload becomes the reference).
     pub fn rebaseline(&mut self) {
@@ -496,12 +491,6 @@ impl DriftDetector {
     /// Resets π (a clearly new drift was confirmed and handled).
     pub fn reset_pi(&mut self) {
         self.pi = self.pi_initial;
-    }
-
-    /// Updates the reference GMQ (after the model converged on the new
-    /// workload, its new training error becomes the baseline).
-    pub fn set_baseline_gmq(&mut self, gmq: f64) {
-        self.baseline_gmq = gmq;
     }
 }
 

@@ -30,12 +30,16 @@ pub struct GammaEstimate {
     pub curve: Vec<LearningCurvePoint>,
 }
 
+/// The relative GMQ slack [`estimate_gamma`] callers use when the operator
+/// names none: 5%.
+pub const DEFAULT_TOLERANCE: f64 = 0.05;
+
 /// Estimates γ by training models (via `make_model`) on growing prefixes of
 /// `corpus` and evaluating on `holdout`.
 ///
 /// `sizes` are the prefix lengths to probe (ascending; clamped to the corpus
 /// size); `tolerance` is the relative GMQ slack that counts as "stabilized"
-/// (the paper leaves this to the operator — 5% is a reasonable default).
+/// (the paper leaves this to the operator; see [`DEFAULT_TOLERANCE`]).
 ///
 /// # Panics
 /// Panics if `sizes` or `holdout` is empty.

@@ -1,16 +1,5 @@
-//! Parallel experiment execution.
-//!
-//! Every (strategy × seed) run in an experiment is independent — same table,
-//! same drift, byte-identical workload replays — so the comparison benches
-//! can fan runs out across cores. Work is handed out through the shared
-//! lock-free worker pool in `warper_linalg::parallel` (an atomic fetch-add
-//! index, no mutexes), and results come back in submission order.
-
-use crate::error::WarperError;
-use crate::runner::{
-    run_single_table, DriftSetup, ModelKind, RunResult, RunnerConfig, StrategyKind,
-};
-use warper_storage::Table;
+//! Seed derivation: one master seed, one named RNG stream per concurrent
+//! component, so runs stay reproducible whichever thread gets there first.
 
 /// Named RNG streams for [`derive_seed`]. Each concurrent component of a
 /// run (strategy, model init, load generator, drift mutator, adaptation
@@ -55,106 +44,9 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One unit of parallel work.
-#[derive(Debug, Clone, Copy)]
-pub struct RunSpec {
-    /// CE model to adapt.
-    pub model: ModelKind,
-    /// Adaptation strategy.
-    pub strategy: StrategyKind,
-    /// Seed override (replay identity).
-    pub seed: u64,
-}
-
-/// Runs all `specs` against the same table and drift, in parallel across up
-/// to `threads` workers. Results come back in `specs` order; a run that
-/// fails (e.g. bad workload notation) yields its error without aborting the
-/// sibling runs.
-pub fn run_parallel(
-    table: &Table,
-    setup: &DriftSetup,
-    specs: &[RunSpec],
-    base_cfg: &RunnerConfig,
-    threads: usize,
-) -> Vec<Result<RunResult, WarperError>> {
-    warper_linalg::parallel::run_indexed(specs.len(), threads, |i| {
-        let spec = specs[i];
-        let cfg = RunnerConfig {
-            seed: spec.seed,
-            ..*base_cfg
-        };
-        run_single_table(table, setup, spec.model, spec.strategy, &cfg)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WarperConfig;
-    use warper_storage::{generate, DatasetKind};
-    use warper_workload::ArrivalProcess;
-
-    fn tiny_cfg() -> RunnerConfig {
-        RunnerConfig {
-            n_train: 200,
-            n_test: 50,
-            checkpoints: 2,
-            arrival: ArrivalProcess {
-                rate_per_sec: 0.1,
-                period_secs: 400.0,
-            },
-            arrivals_labeled: true,
-            seed: 0,
-            warper: WarperConfig {
-                embed_dim: 6,
-                hidden: 24,
-                n_i: 5,
-                pretrain_epochs: 2,
-                gamma: 80,
-                n_p: 40,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let table = generate(DatasetKind::Poker, 1_500, 9);
-        let setup = DriftSetup::Workload {
-            train: "w1".into(),
-            new: "w5".into(),
-        };
-        let specs = [
-            RunSpec {
-                model: ModelKind::LmMlp,
-                strategy: StrategyKind::Ft,
-                seed: 3,
-            },
-            RunSpec {
-                model: ModelKind::LmMlp,
-                strategy: StrategyKind::Warper,
-                seed: 3,
-            },
-            RunSpec {
-                model: ModelKind::LmMlp,
-                strategy: StrategyKind::Ft,
-                seed: 4,
-            },
-        ];
-        let parallel = run_parallel(&table, &setup, &specs, &tiny_cfg(), 3);
-        assert_eq!(parallel.len(), 3);
-        for (spec, res) in specs.iter().zip(&parallel) {
-            let res = res.as_ref().unwrap();
-            let cfg = RunnerConfig {
-                seed: spec.seed,
-                ..tiny_cfg()
-            };
-            let seq = run_single_table(&table, &setup, spec.model, spec.strategy, &cfg).unwrap();
-            assert_eq!(seq.curve.points(), res.curve.points(), "{}", res.strategy);
-            assert_eq!(seq.strategy, res.strategy);
-        }
-    }
 
     #[test]
     fn derived_seeds_are_deterministic_and_stream_separated() {
@@ -186,15 +78,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn empty_specs_is_noop() {
-        let table = generate(DatasetKind::Poker, 500, 9);
-        let setup = DriftSetup::Workload {
-            train: "w1".into(),
-            new: "w5".into(),
-        };
-        assert!(run_parallel(&table, &setup, &[], &tiny_cfg(), 4).is_empty());
     }
 }

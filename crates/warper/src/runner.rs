@@ -448,11 +448,34 @@ pub fn prepare_single_table(
     seed: u64,
 ) -> Result<PreparedModel, WarperError> {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, seed_stream::PREPARE));
+    let n_baseline = (n_train / 8).clamp(50, 150);
+    offline_phase(
+        table, train_mix, model_kind, n_train, n_baseline, seed, &mut rng,
+    )
+    .map(|(prepared, _)| prepared)
+}
+
+/// The offline phase itself: draw `I_train` from `train_mix`, annotate and
+/// featurize it, build the model on the [`seed_stream::MODEL`] stream of
+/// `seed`, fit it, and score it on `n_baseline` further queries of the same
+/// workload. Queries are drawn from `rng` — the caller's choice of stream is
+/// the only thing [`prepare_single_table`] and [`run_single_table`] differ
+/// in, besides `n_baseline`. Also returns the training predicates (the
+/// runner's δ_js needs them in LM featurization).
+fn offline_phase(
+    table: &Table,
+    train_mix: &str,
+    model_kind: ModelKind,
+    n_train: usize,
+    n_baseline: usize,
+    seed: u64,
+    rng: &mut StdRng,
+) -> Result<(PreparedModel, Vec<RangePredicate>), WarperError> {
     let fmap = FeatureMap::new(table, model_kind);
     let annotator = Annotator::new();
 
     let mut train_gen = QueryGenerator::try_from_notation(table, train_mix)?;
-    let train_preds = train_gen.generate_many(n_train, &mut rng);
+    let train_preds = train_gen.generate_many(n_train, rng);
     let train_cards = annotator.count_batch(table, &train_preds);
     let training_set: Vec<(Vec<f64>, f64)> = train_preds
         .iter()
@@ -478,19 +501,20 @@ pub fn prepare_single_table(
         .collect();
     model.fit(&examples);
 
-    let base_preds = train_gen.generate_many((n_train / 8).clamp(50, 150), &mut rng);
+    let base_preds = train_gen.generate_many(n_baseline, rng);
     let base_cards = annotator.count_batch(table, &base_preds);
     let base_feats: Vec<Vec<f64>> = base_preds.iter().map(|p| fmap.featurize(p)).collect();
     let ests = estimate_all(model.as_ref(), base_feats.iter().map(Vec::as_slice));
     let actuals: Vec<f64> = base_cards.iter().map(|&c| c as f64).collect();
     let baseline_gmq = gmq(&ests, &actuals, PAPER_THETA);
 
-    Ok(PreparedModel {
+    let prepared = PreparedModel {
         fmap,
         model,
         training_set,
         baseline_gmq,
-    })
+    };
+    Ok((prepared, train_preds))
 }
 
 /// Runs one (strategy × model × drift) experiment.
@@ -507,7 +531,6 @@ pub fn run_single_table(
 ) -> Result<RunResult, WarperError> {
     let mut table = base_table.clone();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let fmap = FeatureMap::new(&table, model_kind);
     let annotator = Annotator::new();
 
     let (train_mix, new_mix, data_kind): (&str, &str, Option<DataDriftKind>) = match setup {
@@ -516,45 +539,22 @@ pub fn run_single_table(
         DriftSetup::Combined { train, new, kind } => (train, new, Some(*kind)),
     };
 
-    // 1. I_train and the pre-drift baseline.
-    let mut train_gen = QueryGenerator::try_from_notation(&table, train_mix)?;
-    let train_preds = train_gen.generate_many(cfg.n_train, &mut rng);
-    let train_cards = annotator.count_batch(&table, &train_preds);
-    let training_set: Vec<(Vec<f64>, f64)> = train_preds
-        .iter()
-        .zip(&train_cards)
-        .map(|(p, &c)| (fmap.featurize(p), c as f64))
-        .collect();
-
-    let mut model: Box<dyn CardinalityEstimator> = match model_kind {
-        ModelKind::Mscn => {
-            let Some(mscn) = fmap.mscn.as_ref() else {
-                return Err(WarperError::InvalidState(
-                    "MSCN run without an MSCN featurizer".into(),
-                ));
-            };
-            Box::new(Mscn::new(
-                mscn.config(),
-                derive_seed(cfg.seed, seed_stream::MODEL),
-            ))
-        }
-        other => build_model(other, fmap.dim(), derive_seed(cfg.seed, seed_stream::MODEL)),
-    };
-    let examples: Vec<LabeledExample> = training_set
-        .iter()
-        .map(|(f, c)| LabeledExample::new(f.clone(), *c))
-        .collect();
-    model.fit(&examples);
-
-    // Baseline GMQ on held-out train-workload queries.
-    let base_preds = train_gen.generate_many(cfg.n_test.min(150), &mut rng);
-    let base_cards = annotator.count_batch(&table, &base_preds);
-    let baseline_gmq = {
-        let base_feats: Vec<Vec<f64>> = base_preds.iter().map(|p| fmap.featurize(p)).collect();
-        let ests = estimate_all(model.as_ref(), base_feats.iter().map(Vec::as_slice));
-        let actuals: Vec<f64> = base_cards.iter().map(|&c| c as f64).collect();
-        gmq(&ests, &actuals, PAPER_THETA)
-    };
+    // 1. I_train and the pre-drift baseline, on the run's own RNG.
+    let (prepared, train_preds) = offline_phase(
+        &table,
+        train_mix,
+        model_kind,
+        cfg.n_train,
+        cfg.n_test.min(150),
+        cfg.seed,
+        &mut rng,
+    )?;
+    let PreparedModel {
+        fmap,
+        mut model,
+        training_set,
+        baseline_gmq,
+    } = prepared;
 
     // 2. Telemetry baselines, then apply the drift. The sketch probe's
     // baseline is the table's mergeable sketch rollup; per-period telemetry

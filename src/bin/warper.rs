@@ -1,26 +1,7 @@
 //! `warper` — command-line driver for the reproduction.
 //!
-//! ```text
-//! warper adapt   --dataset prsa --train w12 --new w345 --model lm-mlp \
-//!                --strategy warper [--rows N] [--seed S] [--compare-ft]
-//! warper gamma   --dataset prsa [--rows N] [--seed S]
-//! warper gaps    [--orders N] [--seed S]
-//! warper serve   --dataset prsa --mix w1 --queries 1000 --clients 4 \
-//!                [--drift-at N] [--new w4] [--sync] [--smoke] [--seed S] \
-//!                [--precision f64|f32|int8] [--state-dir DIR] \
-//!                [--checkpoint-every N] \
-//!                [--shards 128 [--zipf 1.1] [--adapt-shards K] \
-//!                 [--workers N] [--no-pack]]
-//! warper serve   --listen 127.0.0.1:7071 [--state-dir DIR] [--duration S]
-//! warper serve   --listen 127.0.0.1:7071 --shards 128 [--duration S]
-//! warper serve   --standby-of 127.0.0.1:7071 [--listen ADDR] \
-//!                [--state-dir DIR] [--duration S]
-//! warper loadgen --dataset prsa --queries 2000 [--rate QPS] [--seed S] \
-//!                [--tenants 128 [--zipf 1.1]] [--clients N]
-//! warper loadgen --connect 127.0.0.1:7071[,ADDR2] --queries 2000 \
-//!                [--clients N] [--tenants 128] [--zipf 1.1] [--seed S]
-//! warper datasets
-//! ```
+//! Commands and flags: [`USAGE`] (what `warper` prints when it cannot parse
+//! its arguments).
 //!
 //! `serve` and `loadgen` without `--listen`/`--connect` are one in-process
 //! replay of one fleet (`serve` adapts and spot-checks accuracy, `loadgen`
@@ -40,7 +21,7 @@ use rand::SeedableRng;
 use warper_repro::prelude::*;
 use warper_repro::qo::{Executor, Scenario, SpjTemplate};
 use warper_repro::storage::tpch::{generate_tpch, TpchScale};
-use warper_repro::warper::gamma::estimate_gamma;
+use warper_repro::warper::gamma::{estimate_gamma, DEFAULT_TOLERANCE};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,6 +78,7 @@ const USAGE: &str = "usage:
                    worst-drift-first from the merged sketches
   warper serve   --listen ADDR [--state-dir DIR] [--duration SECS]
                  [--dataset ...] [--mix w1] [--rows N] [--seed S]
+                 [--precision f64|f32|int8]
                    networked primary: replicated durability + TCP front-end
   warper serve   --listen ADDR --shards N [--workers N] [--no-pack]
                  [--duration SECS]
@@ -149,6 +131,11 @@ type Flags = HashMap<String, String>;
 fn fail<T>(msg: impl std::fmt::Display) -> Option<T> {
     eprintln!("{msg}");
     None
+}
+
+/// The value of `r`, or `what: <its error>` on stderr and a failed command.
+fn ok_or_fail<T, E: std::fmt::Display>(r: Result<T, E>, what: impl std::fmt::Display) -> Option<T> {
+    r.map_err(|e| eprintln!("{what}: {e}")).ok()
 }
 
 fn dataset_of(flags: &Flags) -> Option<DatasetKind> {
@@ -226,9 +213,8 @@ fn cmd_adapt(flags: &Flags) -> Option<ExitCode> {
     );
 
     let run = |strategy, what: &str| {
-        run_single_table(&table, &setup, model, strategy, &cfg)
-            .map_err(|e| eprintln!("{what} failed: {e}"))
-            .ok()
+        let res = run_single_table(&table, &setup, model, strategy, &cfg);
+        ok_or_fail(res, format!("{what} failed"))
     };
     let res = run(strategy, "run")?;
     print_run(&res);
@@ -298,7 +284,7 @@ fn cmd_gamma(flags: &Flags) -> Option<ExitCode> {
         &corpus,
         &holdout,
         &[100, 200, 400, 800, 1600],
-        0.05,
+        DEFAULT_TOLERANCE,
     );
     println!(
         "learning curve on {} ({} rows, w12 workload):",
@@ -445,30 +431,31 @@ fn print_replay(rep: &warper_repro::serve::ReplayReport) {
         }
     }
     for (id, d) in &rep.durability {
-        let resumed = match d.resumed {
-            true => format!(
+        let resumed = match &d.recovery {
+            Some(r) => format!(
                 "resumed from checkpoint {} (+{} WAL labels{}, {:.3}s, pool={})",
-                d.resumed_from_seq,
-                d.wal_records_replayed,
-                if d.wal_truncated {
+                r.snapshot_seq,
+                r.wal_records_replayed,
+                if r.wal_truncated {
                     ", corrupt tail truncated"
                 } else {
                     ""
                 },
-                d.recovery_secs,
-                d.restored_pool_len,
+                r.recovery_secs,
+                r.pool_len,
             ),
-            false => "fresh state directory".into(),
+            None => "fresh state directory".into(),
         };
+        let s = &d.stats;
         println!(
             "shard #{id} durability: {resumed}; checkpoints={} (failures={}, {:.3}s) \
              wal_appends={} (failures={}, {:.3}s) final_seq={}",
-            d.checkpoints,
-            d.checkpoint_failures,
-            d.checkpoint_secs,
-            d.wal_appends,
-            d.wal_append_failures,
-            d.wal_secs,
+            s.checkpoints,
+            s.checkpoint_failures,
+            s.checkpoint_secs,
+            s.wal_appends,
+            s.wal_append_failures,
+            s.wal_secs,
             d.final_seq,
         );
     }
@@ -598,10 +585,7 @@ fn cmd_replay(flags: &Flags, serving: bool) -> Option<ExitCode> {
         spec.adapt_shards.min(shards),
         if sync { "synchronous" } else { "background" },
     );
-    let rep = match run_replay(&table, &spec) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("replay failed: {e}")),
-    };
+    let rep = ok_or_fail(run_replay(&table, &spec), "replay failed")?;
     print_replay(&rep);
 
     if flags.contains_key("smoke") {
@@ -653,10 +637,10 @@ fn vfs_of(flags: &Flags) -> Option<Arc<dyn warper_repro::durable::Vfs>> {
     use warper_repro::durable::{MemVfs, StdVfs};
     match flags.get("state-dir") {
         None => Some(Arc::new(MemVfs::new())),
-        Some(dir) => match StdVfs::open(dir) {
-            Ok(vfs) => Some(Arc::new(vfs)),
-            Err(e) => fail(format!("cannot open state dir {dir:?}: {e}")),
-        },
+        Some(dir) => {
+            let vfs = ok_or_fail(StdVfs::open(dir), format!("cannot open state dir {dir:?}"))?;
+            Some(Arc::new(vfs))
+        }
     }
 }
 
@@ -665,6 +649,7 @@ fn vfs_of(flags: &Flags) -> Option<Arc<dyn warper_repro::durable::Vfs>> {
 fn cmd_serve_primary(flags: &Flags) -> Option<ExitCode> {
     use warper_repro::durable::DurabilityConfig;
     use warper_repro::serve::net::{PrimaryNode, PrimarySpec};
+    use warper_repro::serve::AdaptConfig;
 
     let duration = num(flags, "duration", 0u64)?;
     let checkpoint_every = num(flags, "checkpoint-every", 4usize)?;
@@ -673,13 +658,15 @@ fn cmd_serve_primary(flags: &Flags) -> Option<ExitCode> {
     let spec = PrimarySpec {
         mix: text(flags, "mix", "w1"),
         seed,
+        adapt: AdaptConfig {
+            precision: precision_of(flags)?,
+            ..Default::default()
+        },
         durability: DurabilityConfig { checkpoint_every },
         ..Default::default()
     };
-    let node = match PrimaryNode::start(&table, vfs, &text(flags, "listen", ""), spec) {
-        Ok(n) => n,
-        Err(e) => return fail(format!("primary failed to start: {e}")),
-    };
+    let started = PrimaryNode::start(&table, vfs, &text(flags, "listen", ""), spec);
+    let node = ok_or_fail(started, "primary failed to start")?;
     println!(
         "primary serving {} ({rows} rows) on {}",
         kind.name(),
@@ -721,10 +708,8 @@ fn cmd_serve_standby(flags: &Flags) -> Option<ExitCode> {
         ..Default::default()
     };
     let listen = text(flags, "listen", "127.0.0.1:0");
-    let node = match StandbyNode::start(vfs, &listen, primary.clone(), cfg) {
-        Ok(n) => n,
-        Err(e) => return fail(format!("standby failed to start: {e}")),
-    };
+    let started = StandbyNode::start(vfs, &listen, primary.clone(), cfg);
+    let node = ok_or_fail(started, "standby failed to start")?;
     println!("standby of {primary} listening on {}", node.addr());
     let mut was_promoted = false;
     run_for(duration, || {
@@ -758,7 +743,8 @@ fn cmd_serve_standby(flags: &Flags) -> Option<ExitCode> {
 /// (`EstimateReqShard` on the wire; plain v1 requests land on shard 0).
 fn cmd_serve_fleet_net(flags: &Flags) -> Option<ExitCode> {
     use warper_repro::serve::net::{NetServer, NetServerConfig, ServerCore};
-    use warper_repro::serve::{prepare_serving_model, Fleet, ModelSnapshot, ShardKey, ShardSpec};
+    use warper_repro::serve::{initial_snapshot, Fleet, ShardKey, ShardSpec};
+    use warper_repro::warper::supervisor::SupervisorConfig;
 
     let duration = num(flags, "duration", 0u64)?;
     let shards = num(flags, "shards", 8u32)?;
@@ -767,26 +753,13 @@ fn cmd_serve_fleet_net(flags: &Flags) -> Option<ExitCode> {
     let listen = text(flags, "listen", "");
     let (kind, rows, seed, table) = table_of(flags)?;
     let mix = text(flags, "mix", "w1");
-    let prepared =
-        match warper_repro::warper::prepare_single_table(&table, &mix, ModelKind::LmMlp, 400, seed)
-        {
-            Ok(p) => p,
-            Err(e) => return fail(format!("training failed: {e}")),
-        };
-    let Some(serving) = prepared.model.snapshot() else {
-        return fail(format!(
-            "{} cannot snapshot; serving requires an immutable copy",
-            prepared.model.name()
-        ));
-    };
-    let probe: Vec<&[f64]> = prepared
-        .training_set
-        .iter()
-        .map(|(f, _)| f.as_slice())
-        .collect();
-    let (serving, precision, _) =
-        prepare_serving_model(prepared.model.as_ref(), serving, precision, &probe, 0.05);
-    let snap = Arc::new(ModelSnapshot::initial(serving).with_precision(precision));
+    let tolerance = SupervisorConfig::default().quant_gmq_tolerance;
+    let snap =
+        warper_repro::warper::prepare_single_table(&table, &mix, ModelKind::LmMlp, 400, seed)
+            .and_then(|p| {
+                initial_snapshot(p.model.as_ref(), &p.training_set, precision, tolerance)
+            });
+    let snap = ok_or_fail(snap, "training failed")?;
     let specs: Vec<ShardSpec> = (0..shards)
         .map(|i| ShardSpec {
             key: ShardKey::new(format!("tenant-{i:04}"), "main"),
@@ -796,10 +769,8 @@ fn cmd_serve_fleet_net(flags: &Flags) -> Option<ExitCode> {
         .collect();
     let fleet = Fleet::start(specs, fleet_cfg);
     let core = ServerCore::new_fleet(fleet.handle(), true, None);
-    let server = match NetServer::bind(&listen, core, NetServerConfig::default()) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("fleet server failed to bind {listen:?}: {e}")),
-    };
+    let bound = NetServer::bind(&listen, core, NetServerConfig::default());
+    let server = ok_or_fail(bound, format!("fleet server failed to bind {listen:?}"))?;
     println!(
         "fleet serving {shards} shards of {} ({rows} rows) on {}",
         kind.name(),
@@ -824,7 +795,7 @@ fn cmd_serve_fleet_net(flags: &Flags) -> Option<ExitCode> {
 /// `warper loadgen --connect ADDR[,ADDR2]`: deterministic multi-client
 /// load against networked servers, with bounded retry and rotation.
 fn cmd_loadgen_net(flags: &Flags) -> Option<ExitCode> {
-    use warper_repro::serve::net::{run_net_loadgen, NetLoadSpec};
+    use warper_repro::serve::{run_net_loadgen, NetLoadSpec};
 
     // The table must match the server's `--dataset/--rows/--seed` so the
     // featurization (and therefore the checksum) lines up.
@@ -849,10 +820,7 @@ fn cmd_loadgen_net(flags: &Flags) -> Option<ExitCode> {
         spec.clients,
         spec.endpoints
     );
-    let rep = match run_net_loadgen(&table, &spec) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("loadgen failed: {e}")),
-    };
+    let rep = ok_or_fail(run_net_loadgen(&table, &spec), "loadgen failed")?;
     let (p50, p95, p99, max) = rep.latency.summary_scaled(1_000.0);
     println!(
         "ok={} shed={} rejected={} unavailable={} disconnected={} ({:.1}s)",
