@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use warper_bench::qo::{Executor, QueryCards, Scenario, SpjTemplate};
 use warper_bench::{print_table, save_results, Scale};
 use warper_ce::lm::{LmMlp, LmMlpParams};
 use warper_ce::{CardinalityEstimator, LabeledExample};
@@ -16,7 +17,6 @@ use warper_core::baselines::ArrivedQuery;
 use warper_core::detect::DataTelemetry;
 use warper_core::{WarperConfig, WarperController};
 use warper_metrics::{gmq, PAPER_THETA};
-use warper_qo::{Executor, QueryCards, Scenario, SpjTemplate};
 use warper_query::{Annotator, Featurizer};
 use warper_storage::tpch::{generate_tpch, TpchScale};
 

@@ -13,14 +13,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use warper_bench::{print_table, save_results, Scale};
+use warper_bench::qo::{Executor, QueryCards, Scenario, SpjTemplate, TemplateQuery};
+use warper_bench::{ft_or_warper, print_table, save_results, Scale};
 use warper_ce::lm::{LmMlp, LmMlpParams};
 use warper_ce::{CardinalityEstimator, LabeledExample};
-use warper_core::baselines::{AdaptStrategy, ArrivedQuery, FineTuneStrategy};
+use warper_core::baselines::ArrivedQuery;
 use warper_core::detect::{CanarySet, DataTelemetry};
-use warper_core::{WarperConfig, WarperController};
+use warper_core::runner::StrategyKind;
+use warper_core::WarperConfig;
 use warper_metrics::{gmq, PAPER_THETA};
-use warper_qo::{Executor, QueryCards, Scenario, SpjTemplate};
 use warper_query::{Annotator, Featurizer};
 use warper_storage::drift::{sort_and_truncate_half, ChangeLog};
 use warper_storage::tpch::{generate_tpch, TpchScale};
@@ -60,14 +61,6 @@ impl Drift {
     }
 }
 
-/// One method's per-table adaptation state.
-#[allow(clippy::large_enum_variant)]
-enum Method {
-    NoAdapt,
-    Ft(FineTuneStrategy, FineTuneStrategy),
-    Warper(Box<WarperController>, Box<WarperController>),
-}
-
 fn main() {
     let scale = Scale::from_env();
     let tpch_scale = match scale {
@@ -82,11 +75,12 @@ fn main() {
         for drift in [Drift::A, Drift::B, Drift::C] {
             let mut rows = Vec::new();
             let mut series = serde_json::Map::new();
-            for method_name in ["no-adapt", "FT", "Warper"] {
+            for method in [None, Some(StrategyKind::Ft), Some(StrategyKind::Warper)] {
+                let method_name = method.map_or("no-adapt", |m| m.name());
                 let (gmqs, lats, oracle) = run_one(
                     scenario,
                     drift,
-                    method_name,
+                    method,
                     tpch_scale,
                     steps,
                     arrivals_per_step,
@@ -126,12 +120,13 @@ fn main() {
     save_results("fig9_end_to_end", &serde_json::Value::Object(json));
 }
 
-/// Replays one (scenario × drift × method); returns per-step GMQ, average
-/// latency with model estimates, and the oracle latency.
+/// Replays one (scenario × drift × method, `None` = no adaptation); returns
+/// per-step GMQ, average latency with model estimates, and the oracle
+/// latency.
 fn run_one(
     scenario: Scenario,
     drift: Drift,
-    method_name: &str,
+    method: Option<StrategyKind>,
     tpch_scale: TpchScale,
     steps: usize,
     arrivals_per_step: usize,
@@ -172,35 +167,24 @@ fn run_one(
     let changelog = ChangeLog::mark(&tables.lineitem);
     let mut canaries = CanarySet::new(&tables.lineitem, 8, &mut rng);
 
-    let mut method = match method_name {
-        "no-adapt" => Method::NoAdapt,
-        "FT" => Method::Ft(
-            FineTuneStrategy::new(&train_l, None, 3),
-            FineTuneStrategy::new(&train_o, None, 4),
-        ),
-        _ => {
-            let make = |set: &[(Vec<f64>, f64)], f: &Featurizer, base: f64, seed: u64| {
-                let f2 = f.clone();
-                WarperController::new(
-                    f.dim(),
-                    set,
-                    base,
-                    WarperConfig {
-                        gamma: 150,
-                        ..Default::default()
-                    },
-                    seed,
-                )
-                .with_canonicalizer(Box::new(move |q: &[f64]| {
-                    f2.featurize(&f2.defeaturize(q).keep_most_selective(f2.domains(), 2))
-                }))
+    // One strategy per table: lineitem, then orders.
+    let mut strategies = method.map(|m| {
+        let make = |set: &[(Vec<f64>, f64)], f: &Featurizer, base: f64, seed: u64| {
+            let f2 = f.clone();
+            let canon = Box::new(move |q: &[f64]| {
+                f2.featurize(&f2.defeaturize(q).keep_most_selective(f2.domains(), 2))
+            });
+            let cfg = WarperConfig {
+                gamma: 150,
+                ..Default::default()
             };
-            Method::Warper(
-                Box::new(make(&train_l, &lf, base_l, 3)),
-                Box::new(make(&train_o, &of, base_o, 4)),
-            )
-        }
-    };
+            ft_or_warper(m, set, f.dim(), base, cfg, seed, canon)
+        };
+        [
+            make(&train_l, &lf, base_l, 3),
+            make(&train_o, &of, base_o, 4),
+        ]
+    });
 
     // Drift C mutates the data before the first step.
     if drift == Drift::C {
@@ -218,7 +202,7 @@ fn run_one(
         let arrived_queries = template.draw_many(arrivals_per_step, &mut rng);
 
         // Per-side arrived batches with execution-feedback labels.
-        let to_arrived = |q: &warper_qo::TemplateQuery| {
+        let to_arrived = |q: &TemplateQuery| {
             (
                 ArrivedQuery {
                     features: lf.featurize(&q.join.left_pred),
@@ -249,16 +233,9 @@ fn run_one(
                     .map(|q| Some(annotator.count(orders, &of.defeaturize(q)) as f64))
                     .collect()
             };
-            match &mut method {
-                Method::NoAdapt => {}
-                Method::Ft(sl, so) => {
-                    sl.step(&mut model_l, &arr_l, &telemetry, &mut anno_l);
-                    so.step(&mut model_o, &arr_o, &telemetry, &mut anno_o);
-                }
-                Method::Warper(cl, co) => {
-                    cl.invoke(&mut model_l, &arr_l, &telemetry, &mut anno_l);
-                    co.invoke(&mut model_o, &arr_o, &telemetry, &mut anno_o);
-                }
+            if let Some([sl, so]) = &mut strategies {
+                sl.step(&mut model_l, &arr_l, &telemetry, &mut anno_l);
+                so.step(&mut model_o, &arr_o, &telemetry, &mut anno_o);
             }
         }
 

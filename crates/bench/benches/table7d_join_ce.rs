@@ -4,39 +4,31 @@
 //!
 //! Paper values: Δ.5 = 2.1×, Δ.8 = 2.8×, Δ1 = 1.1×.
 
-use warper_bench::{join_ce, print_table, save_results, Scale};
-use warper_metrics::relative_speedups;
+use warper_bench::{join_ce, mean_speedups, print_table, save_results, Scale};
+use warper_core::runner::StrategyKind;
+use warper_metrics::speedups_vs_ft;
 
 fn main() {
     let scale = Scale::from_env();
     let runs = scale.runs();
-    let mut d = (Vec::new(), Vec::new(), Vec::new());
+    let mut speedups = Vec::new();
     let mut curves = Vec::new();
     for r in 0..runs {
         let seed = 5 + 31 * r as u64;
-        let ft = join_ce::run(scale, false, seed);
-        let warper = join_ce::run(scale, true, seed);
-        let alpha = ft.initial_gmq().unwrap_or(1.0);
-        let beta = ft
-            .best_gmq()
-            .unwrap_or(1.0)
-            .min(warper.best_gmq().unwrap_or(1.0));
-        let s = relative_speedups(&ft, &warper, alpha, beta);
-        d.0.push(s.d05);
-        d.1.push(s.d08);
-        d.2.push(s.d10);
+        let ft = join_ce::run(scale, StrategyKind::Ft, seed);
+        let warper = join_ce::run(scale, StrategyKind::Warper, seed);
+        speedups.push(speedups_vs_ft(&ft, &warper));
         curves.push((ft, warper));
     }
-    let gmean =
-        |v: &[f64]| (v.iter().map(|x| x.max(1e-6).ln()).sum::<f64>() / v.len() as f64).exp();
+    let d = mean_speedups(&speedups);
     let rows = vec![vec![
         "IMDB".to_string(),
         "c2".to_string(),
         "w4/w1".to_string(),
         "MSCN".to_string(),
-        format!("{:.1}", gmean(&d.0)),
-        format!("{:.1}", gmean(&d.1)),
-        format!("{:.1}", gmean(&d.2)),
+        format!("{:.1}", d.d05),
+        format!("{:.1}", d.d08),
+        format!("{:.1}", d.d10),
     ]];
     print_table(
         "Table 7d: join CE on the IMDB-like schema (1 query/min)",
@@ -51,7 +43,7 @@ fn main() {
     save_results(
         "table7d_join_ce",
         &serde_json::json!({
-            "d05": gmean(&d.0), "d08": gmean(&d.1), "d10": gmean(&d.2),
+            "d05": d.d05, "d08": d.d08, "d10": d.d10,
         }),
     );
 }

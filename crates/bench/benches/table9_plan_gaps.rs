@@ -6,8 +6,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use warper_bench::qo::{Executor, Scenario, SpjTemplate};
 use warper_bench::{print_table, save_results, Scale};
-use warper_qo::{Executor, Scenario, SpjTemplate};
 use warper_storage::tpch::{generate_tpch, TpchScale};
 
 fn main() {

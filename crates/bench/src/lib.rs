@@ -10,16 +10,24 @@
 //! Scale is controlled by the `WARPER_SCALE` environment variable:
 //! `small` (default — minutes for the whole suite) or `full` (closer to
 //! paper scale).
+//!
+//! Two experiment-only substrates live here too: [`qo`], the simulated
+//! query optimizer of the §4.2 end-to-end study (Figures 1 and 9, Table 9),
+//! and [`join_ce`], the §4.1.2 join-CE study (Table 7d).
 
 use std::time::Instant;
 
+use warper_core::baselines::{AdaptStrategy, FineTuneStrategy};
+use warper_core::controller::{CanonicalizeFn, WarperStrategy};
 use warper_core::runner::{
     run_single_table, DriftSetup, ModelKind, RunResult, RunnerConfig, StrategyKind,
 };
-use warper_core::WarperConfig;
-use warper_metrics::{relative_speedups, SpeedupReport};
+use warper_core::{WarperConfig, WarperController};
+use warper_metrics::{speedups_vs_ft, SpeedupReport};
 use warper_storage::{generate, DatasetKind, Table};
 use warper_workload::ArrivalProcess;
+
+pub mod qo;
 
 /// The repository root, anchored on this crate's manifest (two levels down
 /// from it) and not on the working directory: a copy of the workspace under
@@ -160,9 +168,7 @@ pub fn compare_to_ft(
     base_cfg: &RunnerConfig,
     runs: usize,
 ) -> Comparison {
-    let mut d05 = Vec::new();
-    let mut d08 = Vec::new();
-    let mut d10 = Vec::new();
+    let mut speedups = Vec::new();
     let mut delta_m = Vec::new();
     let mut delta_js = Vec::new();
     let mut method_runs = Vec::new();
@@ -176,34 +182,57 @@ pub fn compare_to_ft(
             .unwrap_or_else(|e| panic!("FT reference run failed: {e}"));
         let m = run_single_table(table, setup, model, method, &cfg)
             .unwrap_or_else(|e| panic!("{} run failed: {e}", method.name()));
-        let alpha = ft.curve.initial_gmq().unwrap_or(1.0);
-        let beta = ft
-            .curve
-            .best_gmq()
-            .unwrap_or(1.0)
-            .min(m.curve.best_gmq().unwrap_or(1.0));
-        let s = relative_speedups(&ft.curve, &m.curve, alpha, beta);
-        d05.push(s.d05);
-        d08.push(s.d08);
-        d10.push(s.d10);
+        speedups.push(speedups_vs_ft(&ft.curve, &m.curve));
         delta_m.push(m.delta_m);
         delta_js.push(m.delta_js);
         method_runs.push(m);
         ft_runs.push(ft);
     }
-    let gmean =
-        |v: &[f64]| (v.iter().map(|x| x.max(1e-6).ln()).sum::<f64>() / v.len() as f64).exp();
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     Comparison {
-        speedups: SpeedupReport {
-            d05: gmean(&d05),
-            d08: gmean(&d08),
-            d10: gmean(&d10),
-        },
+        speedups: mean_speedups(&speedups),
         delta_m: mean(&delta_m),
         delta_js: mean(&delta_js),
         method_runs,
         ft_runs,
+    }
+}
+
+/// The per-run Δ-speedups averaged geometrically, each λ on its own (a
+/// speedup below 1e-6 counts as 1e-6).
+pub fn mean_speedups(runs: &[SpeedupReport]) -> SpeedupReport {
+    let gmean = |d: fn(&SpeedupReport) -> f64| {
+        (runs.iter().map(|s| d(s).max(1e-6).ln()).sum::<f64>() / runs.len() as f64).exp()
+    };
+    SpeedupReport {
+        d05: gmean(|s| s.d05),
+        d08: gmean(|s| s.d08),
+        d10: gmean(|s| s.d10),
+    }
+}
+
+/// FT or unsupervised Warper as one [`AdaptStrategy`], for the studies that
+/// drive a model by hand ([`join_ce`], Figure 9): FT annotates every
+/// unlabelled arrival, Warper canonicalizes what it generates with `canon`.
+///
+/// # Panics
+/// Panics on any `method` other than FT or Warper.
+pub fn ft_or_warper(
+    method: StrategyKind,
+    training_set: &[(Vec<f64>, f64)],
+    feature_dim: usize,
+    baseline_gmq: f64,
+    cfg: WarperConfig,
+    seed: u64,
+    canon: CanonicalizeFn,
+) -> Box<dyn AdaptStrategy> {
+    match method {
+        StrategyKind::Ft => Box::new(FineTuneStrategy::new(training_set, None, seed)),
+        StrategyKind::Warper => Box::new(WarperStrategy::new(
+            WarperController::new(feature_dim, training_set, baseline_gmq, cfg, seed)
+                .with_canonicalizer(canon),
+        )),
+        other => panic!("{} is neither FT nor Warper", other.name()),
     }
 }
 
@@ -271,16 +300,17 @@ pub mod join_ce {
     use rand::{Rng, SeedableRng};
     use warper_ce::mscn::{Mscn, MscnFeaturizer};
     use warper_ce::{CardinalityEstimator, LabeledExample};
-    use warper_core::baselines::{AdaptStrategy, ArrivedQuery, FineTuneStrategy};
+    use warper_core::baselines::ArrivedQuery;
     use warper_core::detect::DataTelemetry;
-    use warper_core::{WarperConfig, WarperController};
+    use warper_core::runner::StrategyKind;
+    use warper_core::WarperConfig;
     use warper_metrics::{gmq, AdaptationCurve, PAPER_THETA};
     use warper_query::{join_count, Featurizer, JoinQuery, RangePredicate};
     use warper_storage::imdb::{generate_imdb, ImdbTables};
     use warper_storage::Table;
     use warper_workload::{ArrivalProcess, QueryGenerator};
 
-    use super::Scale;
+    use super::{ft_or_warper, Scale};
 
     /// The two PK–FK joins of the schema.
     fn join_tables(db: &ImdbTables, join_id: usize) -> (&Table, &Table) {
@@ -342,8 +372,8 @@ pub mod join_ce {
         join_count(fact, dim, &q) as f64
     }
 
-    /// Runs the experiment for one method; `warper = false` runs FT.
-    pub fn run(scale: Scale, warper: bool, seed: u64) -> AdaptationCurve {
+    /// Runs the experiment for one method, FT or Warper.
+    pub fn run(scale: Scale, method: StrategyKind, seed: u64) -> AdaptationCurve {
         let titles = match scale {
             Scale::Small => 6_000,
             Scale::Full => 20_000,
@@ -390,21 +420,19 @@ pub mod join_ce {
         let baseline = eval(&model, &base_set);
 
         let mf2 = mf.clone();
-        let mut warper_ctl = warper.then(|| {
-            WarperController::new(
-                mf.config().feature_dim(),
-                &train,
-                baseline,
-                WarperConfig {
-                    gamma: 100,
-                    n_p: 200,
-                    ..Default::default()
-                },
-                seed,
-            )
-            .with_canonicalizer(Box::new(move |f: &[f64]| mf2.canonicalize(f, 2)))
-        });
-        let mut ft = FineTuneStrategy::new(&train, None, seed);
+        let mut strategy = ft_or_warper(
+            method,
+            &train,
+            mf.config().feature_dim(),
+            baseline,
+            WarperConfig {
+                gamma: 100,
+                n_p: 200,
+                ..Default::default()
+            },
+            seed,
+            Box::new(move |f: &[f64]| mf2.canonicalize(f, 2)),
+        );
 
         // One query per minute over the paper's 30-minute period.
         let arrival = ArrivalProcess {
@@ -435,24 +463,12 @@ pub mod join_ce {
             let mut annotate_cb = |qs: &[Vec<f64>]| -> Vec<Option<f64>> {
                 qs.iter().map(|f| Some(annotate(&mf, &db, f))).collect()
             };
-            match &mut warper_ctl {
-                Some(ctl) => {
-                    ctl.invoke(
-                        &mut model,
-                        &arrived,
-                        &DataTelemetry::default(),
-                        &mut annotate_cb,
-                    );
-                }
-                None => {
-                    ft.step(
-                        &mut model,
-                        &arrived,
-                        &DataTelemetry::default(),
-                        &mut annotate_cb,
-                    );
-                }
-            }
+            strategy.step(
+                &mut model,
+                &arrived,
+                &DataTelemetry::default(),
+                &mut annotate_cb,
+            );
             curve.push(total as f64, eval(&model, &test));
         }
         curve

@@ -3,7 +3,8 @@
 //! * [`qerror`]: the q-error `q_θ(g, ĝ)` with the paper's θ = 10 floor, and
 //!   GMQ, the geometric mean of q-errors over a test workload.
 //! * [`speedup`]: adaptation curves and the relative speedup
-//!   `Δ(FT, λ) / Δ(A, λ)` that Tables 7, 8 and 10 report at λ ∈ {0.5, 0.8, 1}.
+//!   `Δ(FT, λ) / Δ(A, λ)` that Tables 7, 8 and 10 report at λ ∈ {0.5, 0.8, 1}
+//!   ([`speedups_vs_ft`]).
 //! * [`jsd`]: the intrinsic workload-drift metric δ_js — PCA to `k` dims,
 //!   `m`-bin quantization, sparse histograms, symmetric discrete
 //!   Jensen–Shannon divergence (§3.1, footnote 8).
@@ -21,4 +22,4 @@ pub mod speedup;
 pub use jsd::{delta_js, js_divergence};
 pub use latency::LatencyHistogram;
 pub use qerror::{gmq, q_error, PAPER_THETA};
-pub use speedup::{relative_speedups, AdaptationCurve, SpeedupReport};
+pub use speedup::{speedups_vs_ft, AdaptationCurve, SpeedupReport};

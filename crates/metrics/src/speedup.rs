@@ -80,7 +80,21 @@ pub struct SpeedupReport {
     pub d10: f64,
 }
 
-/// Computes `Δ(FT, λ)/Δ(A, λ)` at the paper's three λ values.
+/// The paper's Δ-speedup of method `a` over fine-tuning, with α and β read
+/// off the two curves: α is FT's GMQ right after the drift (its first
+/// point), β the lower of the two converged (best) GMQs. An empty curve
+/// contributes 1.0. Every reported speedup goes through this function.
+pub fn speedups_vs_ft(ft: &AdaptationCurve, a: &AdaptationCurve) -> SpeedupReport {
+    let alpha = ft.initial_gmq().unwrap_or(1.0);
+    let beta = ft
+        .best_gmq()
+        .unwrap_or(1.0)
+        .min(a.best_gmq().unwrap_or(1.0));
+    relative_speedups(ft, a, alpha, beta)
+}
+
+/// Computes `Δ(FT, λ)/Δ(A, λ)` at the paper's three λ values for an
+/// explicit α and β ([`speedups_vs_ft`] is the paper's choice of both).
 ///
 /// `alpha` is the GMQ right after the drift (before adaptation); `beta` is
 /// the converged GMQ. Conventions for edge cases, matching the paper's

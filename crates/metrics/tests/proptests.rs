@@ -1,7 +1,18 @@
 //! Property-based tests for the evaluation metrics.
 
 use proptest::prelude::*;
-use warper_metrics::{gmq, q_error, relative_speedups, AdaptationCurve, PAPER_THETA};
+use warper_metrics::speedup::relative_speedups;
+use warper_metrics::{gmq, q_error, speedups_vs_ft, AdaptationCurve, PAPER_THETA};
+
+/// A curve sampled every `step` queries.
+fn curve(gmqs: &[f64], step: f64) -> AdaptationCurve {
+    AdaptationCurve::from_points(
+        gmqs.iter()
+            .enumerate()
+            .map(|(i, &g)| (step * i as f64, g))
+            .collect(),
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -32,12 +43,7 @@ proptest! {
         t1 in 1.0f64..20.0,
         t2 in 1.0f64..20.0,
     ) {
-        let points: Vec<(f64, f64)> = gmqs
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (10.0 * i as f64, g))
-            .collect();
-        let c = AdaptationCurve::from_points(points);
+        let c = curve(&gmqs, 10.0);
         let (easy, hard) = if t1 >= t2 { (t1, t2) } else { (t2, t1) };
         match (c.queries_to_reach(easy), c.queries_to_reach(hard)) {
             (Some(qe), Some(qh)) => prop_assert!(qe <= qh + 1e-9),
@@ -50,17 +56,24 @@ proptest! {
     fn identical_curves_give_unit_speedups(
         gmqs in prop::collection::vec(1.0f64..20.0, 3..12),
     ) {
-        let points: Vec<(f64, f64)> = gmqs
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (5.0 * i as f64, g))
-            .collect();
-        let c = AdaptationCurve::from_points(points);
-        let alpha = c.initial_gmq().unwrap();
-        let beta = c.best_gmq().unwrap();
-        let s = relative_speedups(&c, &c, alpha, beta);
+        let c = curve(&gmqs, 5.0);
+        let s = speedups_vs_ft(&c, &c);
         for v in [s.d05, s.d08, s.d10] {
             prop_assert!((v - 1.0).abs() < 1e-6, "self-speedup {v}");
         }
+    }
+
+    #[test]
+    fn speedups_vs_ft_reads_alpha_and_beta_off_the_curves(
+        ft_gmqs in prop::collection::vec(1.0f64..20.0, 1..12),
+        a_gmqs in prop::collection::vec(1.0f64..20.0, 1..12),
+        ft_step in 1.0f64..50.0,
+        a_step in 1.0f64..50.0,
+    ) {
+        // α = FT's GMQ right after the drift, β = the lower converged GMQ.
+        let (ft, a) = (curve(&ft_gmqs, ft_step), curve(&a_gmqs, a_step));
+        let alpha = ft.initial_gmq().unwrap();
+        let beta = ft.best_gmq().unwrap().min(a.best_gmq().unwrap());
+        prop_assert_eq!(speedups_vs_ft(&ft, &a), relative_speedups(&ft, &a, alpha, beta));
     }
 }

@@ -30,11 +30,6 @@ impl TpchScale {
         Self { orders: 2_000 }
     }
 
-    /// The default bench scale (a scaled-down stand-in for SF10).
-    pub fn bench() -> Self {
-        Self { orders: 50_000 }
-    }
-
     /// Proportional row counts for a nominal scale factor: SF1 = 1.5M
     /// orders scaled down by `downscale` (e.g. `rows(10, 100)` models SF10
     /// at 1% size).

@@ -58,11 +58,9 @@ pub type AnnotateFn<'a> = dyn FnMut(&[Vec<f64>]) -> Vec<Option<f64>> + 'a;
 
 /// An adaptation method: consumes newly arrived queries each period and
 /// updates the CE model. `annotate` computes fresh ground truth for feature
-/// vectors (the runner wires it to the table's annotator and meters it).
+/// vectors (the runner wires it to the table's annotator and meters it). A
+/// method's name is its `runner::StrategyKind::name()`.
 pub trait AdaptStrategy {
-    /// Method name as used in the paper's figures.
-    fn name(&self) -> &'static str;
-
     /// Runs one adaptation step.
     fn step(
         &mut self,
@@ -176,10 +174,6 @@ impl FineTuneStrategy {
 }
 
 impl AdaptStrategy for FineTuneStrategy {
-    fn name(&self) -> &'static str {
-        "FT"
-    }
-
     fn step(
         &mut self,
         model: &mut dyn CardinalityEstimator,
@@ -222,10 +216,6 @@ impl MixStrategy {
 }
 
 impl AdaptStrategy for MixStrategy {
-    fn name(&self) -> &'static str {
-        "MIX"
-    }
-
     fn step(
         &mut self,
         model: &mut dyn CardinalityEstimator,
@@ -303,10 +293,6 @@ impl AugStrategy {
 }
 
 impl AdaptStrategy for AugStrategy {
-    fn name(&self) -> &'static str {
-        "AUG"
-    }
-
     fn step(
         &mut self,
         model: &mut dyn CardinalityEstimator,
@@ -377,10 +363,6 @@ impl HemStrategy {
 }
 
 impl AdaptStrategy for HemStrategy {
-    fn name(&self) -> &'static str {
-        "HEM"
-    }
-
     fn step(
         &mut self,
         model: &mut dyn CardinalityEstimator,
@@ -628,19 +610,22 @@ mod tests {
     #[test]
     fn empty_arrivals_are_noops() {
         let mut model = SpyModel::new(UpdateKind::FineTune);
-        for strat in [
+        for (i, strat) in [
             &mut FineTuneStrategy::new(&train_set(), None, 1) as &mut dyn AdaptStrategy,
             &mut MixStrategy::new(&train_set(), 1),
             &mut AugStrategy::new(&train_set(), 1),
             &mut HemStrategy::new(&train_set(), 1),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let rep = strat.step(
                 &mut model,
                 &[],
                 &DataTelemetry::default(),
                 &mut no_annotate(),
             );
-            assert_eq!(rep.trained_on, 0, "{}", strat.name());
+            assert_eq!(rep.trained_on, 0, "strategy {i} of FT, MIX, AUG, HEM");
         }
         assert!(model.updates.is_empty());
     }

@@ -838,25 +838,15 @@ impl WarperController {
 /// baseline goes.
 pub struct WarperStrategy {
     controller: WarperController,
-    display_name: &'static str,
     supervisor: Option<Supervisor>,
 }
 
 impl WarperStrategy {
-    /// Wraps a configured controller.
+    /// Wraps a configured controller; unsupervised, a step is exactly
+    /// [`WarperController::invoke`].
     pub fn new(controller: WarperController) -> Self {
         Self {
             controller,
-            display_name: "Warper",
-            supervisor: None,
-        }
-    }
-
-    /// Wraps with a custom display name (used by the ablation tables).
-    pub fn named(controller: WarperController, name: &'static str) -> Self {
-        Self {
-            controller,
-            display_name: name,
             supervisor: None,
         }
     }
@@ -875,10 +865,6 @@ impl WarperStrategy {
 }
 
 impl AdaptStrategy for WarperStrategy {
-    fn name(&self) -> &'static str {
-        self.display_name
-    }
-
     fn step(
         &mut self,
         model: &mut dyn CardinalityEstimator,
@@ -1087,7 +1073,6 @@ mod tests {
     fn strategy_wrapper_reports() {
         let ctl = controller();
         let mut strat = WarperStrategy::new(ctl);
-        assert_eq!(strat.name(), "Warper");
         let mut model = ToyModel { scale: 1000.0 };
         let rep = strat.step(
             &mut model,
@@ -1100,12 +1085,52 @@ mod tests {
     }
 
     #[test]
+    fn unsupervised_strategy_step_is_a_bare_invoke() {
+        // Three periods through each path: steady, then a c2 workload drift
+        // twice. Same model scale, same serialized controller, same RNG
+        // position after every one. The bare side also re-installs the
+        // default picker and generator, as the runner's one Warper arm does.
+        let mut strat = WarperStrategy::new(controller());
+        let mut bare = controller()
+            .with_picker(PickerKind::Warper)
+            .with_generator(GenKind::Gan);
+        let (mut model_a, mut model_b) = (ToyModel { scale: 1000.0 }, ToyModel { scale: 1000.0 });
+        let steady: Vec<ArrivedQuery> = training_set()
+            .into_iter()
+            .take(10)
+            .map(|(features, c)| ArrivedQuery {
+                features,
+                gt: Some(c),
+            })
+            .collect();
+        let label = |qs: &[Vec<f64>]| -> Vec<Option<f64>> {
+            qs.iter().map(|f| Some(90_000.0 * (0.1 + f[0]))).collect()
+        };
+        let mut c2 = false;
+        for arrived in [steady, arrived_shifted(40, true), arrived_shifted(30, true)] {
+            let telemetry = DataTelemetry::default();
+            strat.step(&mut model_a, &arrived, &telemetry, &mut |qs| label(qs));
+            c2 |= bare
+                .invoke(&mut model_b, &arrived, &telemetry, &mut |qs| label(qs))
+                .mode
+                .c2;
+            let ctl = &strat.controller;
+            assert_eq!(model_a.scale.to_bits(), model_b.scale.to_bits());
+            assert_eq!(
+                serde_json::to_string(&ctl.to_state()).unwrap(),
+                serde_json::to_string(&bare.to_state()).unwrap()
+            );
+            assert_eq!(ctl.rng, bare.rng);
+        }
+        assert!(c2, "the shifted periods must run the c2 path");
+    }
+
+    #[test]
     fn ablation_constructors() {
         let ctl = controller()
             .with_picker(PickerKind::Random)
             .with_generator(GenKind::Noise);
-        let mut strat = WarperStrategy::named(ctl, "Warper(P→rnd,G→AUG)");
-        assert_eq!(strat.name(), "Warper(P→rnd,G→AUG)");
+        let mut strat = WarperStrategy::new(ctl);
         let mut model = ToyModel { scale: 1000.0 };
         let rep = strat.step(
             &mut model,

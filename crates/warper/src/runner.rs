@@ -315,23 +315,17 @@ pub fn build_strategy(
         StrategyKind::Hem => {
             Box::new(HemStrategy::new(training_set, seed).with_canonicalizer(make_canon()))
         }
-        StrategyKind::Warper => {
-            let ctl =
-                WarperController::new(feature_dim, training_set, baseline_gmq, cfg.warper, seed)
-                    .with_canonicalizer(make_canon());
-            let mut strat = WarperStrategy::new(ctl);
-            if let Some(sup) = cfg.supervisor {
-                strat = strat.with_supervisor(sup);
-            }
-            Box::new(strat)
-        }
-        StrategyKind::WarperAblated { picker, gen } => {
+        StrategyKind::Warper | StrategyKind::WarperAblated { .. } => {
+            let (picker, gen) = match kind {
+                StrategyKind::WarperAblated { picker, gen } => (picker, gen),
+                _ => (PickerKind::Warper, GenKind::Gan),
+            };
             let ctl =
                 WarperController::new(feature_dim, training_set, baseline_gmq, cfg.warper, seed)
                     .with_picker(picker)
                     .with_generator(gen)
                     .with_canonicalizer(make_canon());
-            let mut strat = WarperStrategy::named(ctl, kind.name());
+            let mut strat = WarperStrategy::new(ctl);
             if let Some(sup) = cfg.supervisor {
                 strat = strat.with_supervisor(sup);
             }
@@ -698,7 +692,7 @@ pub fn run_single_table(
     probe.rebaseline(&table);
 
     Ok(RunResult {
-        strategy: strategy.name().to_string(),
+        strategy: strategy_kind.name().to_string(),
         model: model_kind.name().to_string(),
         curve,
         delta_m: (drift_gmq - baseline_gmq).max(0.0),
@@ -795,6 +789,16 @@ mod tests {
             assert!(res.annotated_total > 0);
         }
         assert!(res.build_secs >= 0.0);
+    }
+
+    #[test]
+    fn strategy_names_come_from_the_kind() {
+        // `RunResult::strategy` is `StrategyKind::name()`, ablations included.
+        let ablated = |picker, gen| StrategyKind::WarperAblated { picker, gen }.name();
+        assert_eq!(StrategyKind::Warper.name(), "Warper");
+        assert_eq!(ablated(PickerKind::Random, GenKind::Noise), "Warper(P→rnd)");
+        assert_eq!(ablated(PickerKind::Entropy, GenKind::Gan), "Warper(P→ent)");
+        assert_eq!(ablated(PickerKind::Warper, GenKind::Noise), "Warper(G→AUG)");
     }
 
     #[test]

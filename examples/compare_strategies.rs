@@ -69,13 +69,7 @@ fn main() {
         } else if strategy == StrategyKind::Warper {
             // Report the paper's Δ-speedups for the headline pair.
             let ft = ft_curve.as_ref().unwrap();
-            let alpha = ft.curve.initial_gmq().unwrap();
-            let beta = ft
-                .curve
-                .best_gmq()
-                .unwrap()
-                .min(res.curve.best_gmq().unwrap());
-            let s = relative_speedups(&ft.curve, &res.curve, alpha, beta);
+            let s = speedups_vs_ft(&ft.curve, &res.curve);
             println!(
                 "{:<16} Δ.5={:.1}x Δ.8={:.1}x Δ1={:.1}x (vs FT)",
                 "  → speedups", s.d05, s.d08, s.d10

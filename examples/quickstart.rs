@@ -53,13 +53,7 @@ fn main() {
     //    queries Warper needs than FT to reach the same accuracy.
     let ft = &results[0];
     let warper = &results[1];
-    let alpha = ft.curve.initial_gmq().unwrap();
-    let beta = ft
-        .curve
-        .best_gmq()
-        .unwrap()
-        .min(warper.curve.best_gmq().unwrap());
-    let speedups = relative_speedups(&ft.curve, &warper.curve, alpha, beta);
+    let speedups = speedups_vs_ft(&ft.curve, &warper.curve);
     println!(
         "\nWarper speedup over FT: Δ.5 = {:.1}x, Δ.8 = {:.1}x, Δ1 = {:.1}x",
         speedups.d05, speedups.d08, speedups.d10

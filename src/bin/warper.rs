@@ -19,8 +19,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use warper_repro::prelude::*;
-use warper_repro::qo::{Executor, Scenario, SpjTemplate};
-use warper_repro::storage::tpch::{generate_tpch, TpchScale};
 use warper_repro::warper::gamma::{estimate_gamma, DEFAULT_TOLERANCE};
 
 fn main() -> ExitCode {
@@ -34,7 +32,6 @@ fn main() -> ExitCode {
     let done = match cmd.as_str() {
         "adapt" => cmd_adapt(&flags),
         "gamma" => cmd_gamma(&flags),
-        "gaps" => cmd_gaps(&flags),
         // Dispatch: `--standby-of` wins (a standby may also `--listen`),
         // then `--listen` starts a networked node (`--shards` makes it a
         // fleet); everything else is the in-process replay.
@@ -61,7 +58,6 @@ const USAGE: &str = "usage:
                  [--strategy ft|mix|aug|hem|warper] [--rows N] [--seed S]
                  [--compare-ft]
   warper gamma   [--dataset prsa|poker|higgs] [--rows N] [--seed S]
-  warper gaps    [--orders N] [--seed S]
   warper serve   [--dataset prsa|poker|higgs] [--mix w1] [--queries N]
                  [--clients N] [--drift-at N] [--new w4 | --data-drift]
                  [--sync] [--invoke-every N] [--smoke] [--rows N] [--seed S]
@@ -221,13 +217,7 @@ fn cmd_adapt(flags: &Flags) -> Option<ExitCode> {
     if flags.contains_key("compare-ft") && strategy != StrategyKind::Ft {
         let ft = run(StrategyKind::Ft, "FT comparison run")?;
         print_run(&ft);
-        let alpha = ft.curve.initial_gmq().unwrap_or(1.0);
-        let beta = ft
-            .curve
-            .best_gmq()
-            .unwrap_or(1.0)
-            .min(res.curve.best_gmq().unwrap_or(1.0));
-        let s = relative_speedups(&ft.curve, &res.curve, alpha, beta);
+        let s = speedups_vs_ft(&ft.curve, &res.curve);
         println!(
             "speedup vs FT: Δ.5={:.1}x Δ.8={:.1}x Δ1={:.1}x",
             s.d05, s.d08, s.d10
@@ -295,25 +285,6 @@ fn cmd_gamma(flags: &Flags) -> Option<ExitCode> {
         println!("  {:>5} training queries → GMQ {:.2}", p.train_size, p.gmq);
     }
     println!("estimated γ = {}", est.gamma);
-    Some(ExitCode::SUCCESS)
-}
-
-fn cmd_gaps(flags: &Flags) -> Option<ExitCode> {
-    let orders = num(flags, "orders", 20_000usize)?;
-    let seed = num(flags, "seed", 9u64)?;
-    let tables = generate_tpch(TpchScale { orders }, seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    println!("plan-choice latency gaps on TPC-H-like tables ({orders} orders):");
-    for scenario in Scenario::all() {
-        let mut template = SpjTemplate::new(&tables, scenario, "w1");
-        let executor = Executor::new(scenario);
-        let gap = template
-            .draw_many(100, &mut rng)
-            .iter()
-            .map(|q| executor.latency_gap(&q.actual))
-            .fold(0.0, f64::max);
-        println!("  {:<22} {gap:.1}x", scenario.name());
-    }
     Some(ExitCode::SUCCESS)
 }
 

@@ -16,7 +16,6 @@
 //! * [`storage`] — columnar tables, synthetic datasets, data-drift mutators;
 //! * [`workload`] — the Table-5 workload generators w1–w5 and drift
 //!   scenarios;
-//! * [`qo`] — the simulated query optimizer for the §4.2 end-to-end study;
 //! * [`metrics`] — q-error/GMQ, Δ-speedups, δ_js, latency histograms;
 //! * [`serve`] — the concurrent estimation service: hot-swappable model
 //!   snapshots, micro-batched inference, background adaptation, and the
@@ -49,7 +48,6 @@ pub use warper_durable as durable;
 pub use warper_linalg as linalg;
 pub use warper_metrics as metrics;
 pub use warper_nn as nn;
-pub use warper_qo as qo;
 pub use warper_query as query;
 pub use warper_serve as serve;
 pub use warper_storage as storage;
@@ -57,16 +55,14 @@ pub use warper_workload as workload;
 
 /// Convenient glob imports for examples and downstream users.
 pub mod prelude {
-    pub use crate::{
-        ce, durable, linalg, metrics, nn, qo, query, serve, storage, warper, workload,
-    };
+    pub use crate::{ce, durable, linalg, metrics, nn, query, serve, storage, warper, workload};
     pub use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
     pub use warper_core::runner::{
         run_single_table, DataDriftKind, DriftSetup, ModelKind, RunResult, RunnerConfig,
         StrategyKind,
     };
     pub use warper_core::{AdaptStrategy, ArrivedQuery, WarperConfig, WarperController};
-    pub use warper_metrics::{gmq, q_error, relative_speedups, AdaptationCurve, PAPER_THETA};
+    pub use warper_metrics::{gmq, q_error, speedups_vs_ft, AdaptationCurve, PAPER_THETA};
     pub use warper_query::{Annotator, Featurizer, JoinQuery, RangePredicate};
     pub use warper_storage::{generate, DatasetKind, Table};
     pub use warper_workload::{ArrivalProcess, Mix, QueryGenerator};

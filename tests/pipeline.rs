@@ -1,11 +1,12 @@
-//! Integration tests for the experiment runner and the end-to-end QO path:
-//! every strategy and model runs through `run_single_table`; better CE
-//! translates into better simulated plans.
+//! Integration tests for the experiment runner: every strategy and model
+//! runs through `run_single_table`, replays are deterministic, and the
+//! Δ-speedup against FT is computable; better CE translates into better
+//! plans on the query-optimizer simulator (`warper_bench::qo`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use warper_bench::qo::{Executor, QueryCards, Scenario, SpjTemplate};
 use warper_repro::prelude::*;
-use warper_repro::qo::{Executor, QueryCards, Scenario, SpjTemplate};
 use warper_repro::storage::tpch::{generate_tpch, TpchScale};
 use warper_repro::workload::ArrivalProcess;
 
@@ -168,13 +169,7 @@ fn speedup_report_vs_ft_is_computable() {
     let ft = run_single_table(&table, &setup, ModelKind::LmMlp, StrategyKind::Ft, &cfg).unwrap();
     let warper =
         run_single_table(&table, &setup, ModelKind::LmMlp, StrategyKind::Warper, &cfg).unwrap();
-    let alpha = ft.curve.initial_gmq().unwrap();
-    let beta = ft
-        .curve
-        .best_gmq()
-        .unwrap()
-        .min(warper.curve.best_gmq().unwrap());
-    let s = relative_speedups(&ft.curve, &warper.curve, alpha, beta);
+    let s = speedups_vs_ft(&ft.curve, &warper.curve);
     for v in [s.d05, s.d08, s.d10] {
         assert!(v.is_finite() && v > 0.0);
     }
