@@ -105,8 +105,11 @@ pub struct FleetConfig {
     /// Deficit-round-robin quantum: requests one shard may contribute per
     /// activation before it re-queues behind the other ready shards.
     pub quantum: usize,
-    /// How long a worker lingers for more ready shards after the first,
-    /// before executing a smaller pack.
+    /// Cap on how long a worker lingers for more ready shards after the
+    /// first, before executing a smaller pack. The linger itself is
+    /// `min(pack_linger, mean estimate_many call so far)` — zero until a
+    /// call has been measured — since waiting longer than one call costs
+    /// can never pay for itself.
     pub pack_linger: Duration,
     /// Oldest a request may be when a worker picks it up. A request that
     /// waited longer is shed with [`ServeError::ShedDeadline`] instead of

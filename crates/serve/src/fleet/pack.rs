@@ -1,14 +1,14 @@
 //! The cross-shard packer: the ready ring, the shared worker loop, and
 //! pack execution.
 //!
-//! A worker wakes on the first ready shard, lingers briefly
-//! ([`FleetConfig::pack_linger`]) collecting more ready shards up to
-//! [`FleetConfig::max_packed_batch`] requests, then groups the drained
-//! sub-batches by snapshot `Arc` identity and runs one `estimate_many` per
-//! group. Grouping by pointer identity is what makes packing sound: two
-//! requests may share a GEMM iff they are answered by the *same* model at
-//! the same precision and generation, and sharing the allocation implies
-//! exactly that.
+//! A worker wakes on the first ready shard, lingers collecting more ready
+//! shards up to [`FleetConfig::max_packed_batch`] requests — for at most the
+//! mean `estimate_many` call so far, capped at [`FleetConfig::pack_linger`]
+//! — then groups the drained sub-batches by snapshot `Arc` identity and
+//! runs one `estimate_many` per group. Grouping by pointer identity is what
+//! makes packing sound: two requests may share a GEMM iff they are answered
+//! by the *same* model at the same precision and generation, and sharing
+//! the allocation implies exactly that.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -56,9 +56,10 @@ impl ReadyRing {
         self.nonempty.notify_one();
     }
 
-    /// Pops the head, blocking while the ring is empty. Returns `None` only
-    /// once the ring is closed *and* empty.
-    pub(crate) fn pop_wait(&self) -> Option<u32> {
+    /// Pops the head, waiting while the ring is empty until `deadline`
+    /// (without limit when `None`). Returns `None` once the ring is closed
+    /// and empty, or once the deadline has passed with the ring empty.
+    pub(crate) fn pop(&self, deadline: Option<Instant>) -> Option<u32> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(id) = st.ids.pop_front() {
@@ -67,43 +68,18 @@ impl ReadyRing {
             if st.closed {
                 return None;
             }
-            st = self
-                .nonempty
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = match deadline {
+                None => self
+                    .nonempty
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let left = d.checked_duration_since(Instant::now())?;
+                    let waited = self.nonempty.wait_timeout(st, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
-    }
-
-    /// Pops the head if the ring is non-empty, waiting at most `timeout`.
-    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<u32> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(id) = st.ids.pop_front() {
-                return Some(id);
-            }
-            if st.closed {
-                return None;
-            }
-            let left = deadline.checked_duration_since(Instant::now())?;
-            let (guard, res) = self
-                .nonempty
-                .wait_timeout(st, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            if res.timed_out() && st.ids.is_empty() {
-                return None;
-            }
-        }
-    }
-
-    /// Pops the head without blocking.
-    pub(crate) fn try_pop(&self) -> Option<u32> {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .ids
-            .pop_front()
     }
 
     pub(crate) fn close(&self) {
@@ -125,28 +101,20 @@ struct SubBatch {
 /// ring closes and drains.
 pub(crate) fn worker_loop(shared: Arc<FleetShared>) {
     let cfg = shared.cfg;
-    loop {
-        let Some(first) = shared.ring.pop_wait() else {
-            return;
-        };
+    while let Some(first) = shared.ring.pop(None) {
         let mut pack: Vec<SubBatch> = Vec::new();
         let mut total = 0usize;
         drain_shard(&shared, first, &mut pack, &mut total);
-        // Linger for more ready shards: small tenants arrive staggered, and
-        // a slightly later, larger pack beats several tiny GEMMs.
-        let deadline = Instant::now() + cfg.pack_linger;
+        // Linger for more ready shards, since small tenants arrive staggered
+        // and one larger GEMM beats several tiny ones, but for no longer
+        // than one call costs (ski rental): not waiting costs at most one
+        // extra call. Before the first call is measured, don't linger.
+        let groups = shared.counters.gemm_groups.load(Ordering::Relaxed);
+        let nanos = shared.counters.inference_nanos.load(Ordering::Relaxed);
+        let mean_call = Duration::from_nanos(nanos.checked_div(groups).unwrap_or(0));
+        let deadline = Instant::now() + mean_call.min(cfg.pack_linger);
         while total < cfg.max_packed_batch {
-            if let Some(id) = shared.ring.try_pop() {
-                drain_shard(&shared, id, &mut pack, &mut total);
-                continue;
-            }
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            if left.is_zero() {
-                break;
-            }
-            match shared.ring.pop_timeout(left) {
+            match shared.ring.pop(Some(deadline)) {
                 Some(id) => drain_shard(&shared, id, &mut pack, &mut total),
                 None => break,
             }

@@ -10,7 +10,7 @@
 //! cover the scalar kernels with the same properties.
 
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -114,7 +114,10 @@ proptest! {
         });
         let handle = fleet.handle();
 
-        // One thread per request so shards genuinely queue and pack.
+        // One thread per request so shards queue and may pack. A worker
+        // lingers only as long as one (cheap) call, so packing is not
+        // certain here; `shards_queued_behind_a_busy_worker_share_one_call`
+        // makes it certain.
         let answers: Vec<(usize, usize, u64)> = std::thread::scope(|s| {
             let mut joins = Vec::new();
             for (shard, idxs) in picks.iter().enumerate() {
@@ -189,16 +192,130 @@ impl CardinalityEstimator for SlowModel {
     }
 }
 
-fn toy_fleet(n_shards: usize, delay: Duration, cfg: FleetConfig) -> Fleet {
+fn slow_snapshot(delay: Duration) -> Arc<ModelSnapshot> {
     let base = 100.0;
-    let specs = (0..n_shards)
-        .map(|i| ShardSpec {
+    Arc::new(ModelSnapshot::initial(Box::new(SlowModel { delay, base })))
+}
+
+/// A fleet whose shards serve `snapshots[i]`.
+fn fleet_of(snapshots: impl IntoIterator<Item = Arc<ModelSnapshot>>, cfg: FleetConfig) -> Fleet {
+    let specs = snapshots
+        .into_iter()
+        .enumerate()
+        .map(|(i, snapshot)| ShardSpec {
             key: ShardKey::new(format!("toy-{i}"), "main"),
-            snapshot: Arc::new(ModelSnapshot::initial(Box::new(SlowModel { delay, base }))),
+            snapshot,
             adapt: None,
         })
         .collect();
     Fleet::start(specs, cfg)
+}
+
+/// `n_shards` shards, each with its own `SlowModel` snapshot `Arc`.
+fn toy_fleet(n_shards: usize, delay: Duration, cfg: FleetConfig) -> Fleet {
+    fleet_of((0..n_shards).map(|_| slow_snapshot(delay)), cfg)
+}
+
+// The linger rule: after its first ready shard a worker waits at most
+// `min(pack_linger, mean estimate_many call so far)`, and not at all before
+// a call has been measured.
+
+#[test]
+fn cheap_calls_do_not_wait_out_the_linger_cap() {
+    let cfg = FleetConfig {
+        pack_linger: Duration::from_millis(50),
+        ..FleetConfig::default()
+    };
+    let fleet = toy_fleet(1, Duration::ZERO, cfg);
+    let handle = fleet.handle();
+    let t0 = Instant::now();
+    // One warm-up request, then twenty: waiting out the cap each time would
+    // take 21 × 50 ms.
+    for i in 0..21 {
+        assert_eq!(
+            handle.estimate(0, vec![i as f64, 0.0]).unwrap().batch_size,
+            1
+        );
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "21 requests took {took:?}"
+    );
+}
+
+#[test]
+fn first_pack_of_a_fresh_fleet_does_not_linger() {
+    let cfg = FleetConfig {
+        pack_linger: Duration::from_secs(2),
+        ..FleetConfig::default()
+    };
+    let fleet = toy_fleet(1, Duration::ZERO, cfg);
+    let t0 = Instant::now();
+    fleet.handle().estimate(0, vec![0.0, 0.0]).unwrap();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "first request took {took:?}");
+}
+
+#[test]
+fn expensive_calls_still_glue_requests_within_the_cap() {
+    // One worker, so the second request's ring entry can only reach the
+    // worker lingering over the first.
+    let cfg = FleetConfig {
+        workers: 1,
+        pack_linger: Duration::from_millis(15),
+        ..FleetConfig::default()
+    };
+    let fleet = toy_fleet(1, Duration::from_millis(20), cfg);
+    let handle = fleet.handle();
+    // Warm-up: measures one 20 ms call, so the linger is the full 15 ms cap.
+    handle.estimate(0, vec![0.0, 0.0]).unwrap();
+    let before = fleet.stats().gemm_groups;
+    let sizes = std::thread::scope(|s| {
+        let first = s.spawn(|| handle.estimate(0, vec![1.0, 0.0]));
+        std::thread::sleep(Duration::from_millis(1));
+        let second = s.spawn(|| handle.estimate(0, vec![2.0, 0.0]));
+        [first, second].map(|j| j.join().unwrap().unwrap().batch_size)
+    });
+    assert_eq!(sizes, [2, 2], "requests 1 ms apart must share one call");
+    assert_eq!(fleet.stats().gemm_groups, before + 1);
+}
+
+/// The deterministic companion of the packing proptest above: shards that
+/// share one snapshot `Arc` and queue behind a worker busy in a 50 ms call
+/// are answered by one `estimate_many`, however cheap their own model is.
+#[test]
+fn shards_queued_behind_a_busy_worker_share_one_call() {
+    const QUEUED: usize = 4;
+    let busy = slow_snapshot(Duration::from_millis(50));
+    let shared = slow_snapshot(Duration::ZERO);
+    let snapshots = std::iter::once(busy).chain(std::iter::repeat_n(shared, QUEUED));
+    let cfg = FleetConfig {
+        workers: 1,
+        ..FleetConfig::default()
+    };
+    let fleet = fleet_of(snapshots, cfg);
+    let handle = fleet.handle();
+    std::thread::scope(|s| {
+        s.spawn(|| handle.estimate(0, vec![0.0, 0.0]).unwrap());
+        // `packs` counts a pack before its call runs: from here the one
+        // worker is inside the 50 ms call.
+        while fleet.stats().packs == 0 {
+            std::thread::yield_now();
+        }
+        let queued: Vec<_> = (1..=QUEUED as u32)
+            .map(|shard| {
+                let handle = handle.clone();
+                s.spawn(move || handle.estimate(shard, vec![shard as f64, 0.0]).unwrap())
+            })
+            .collect();
+        for j in queued {
+            assert_eq!(j.join().unwrap().batch_size, QUEUED);
+        }
+    });
+    let stats = fleet.stats();
+    assert_eq!(stats.gemm_groups, 1 + 1, "the busy warm-up call, then one");
+    assert!(stats.pack_efficiency() > 1.0, "{stats:?}");
 }
 
 // The single-service core's unit tests, on the one-shard fleet that replaced it.
